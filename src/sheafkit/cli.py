@@ -16,7 +16,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import struct
 import sys
 import time
@@ -30,7 +29,7 @@ from . import __version__, dynamics
 from .cohomology import obstruction_report
 from .ctxlogic import parse_proposition, proposition_to_str, seven_value_of
 from .errors import IncompatibleModel, SheafkitError
-from .gluing import contextual_fraction, is_noncontextual, sheaf_check
+from .gluing import classify_contextuality, contextual_fraction
 from .presheaf import EmpiricalModel, check_compatibility, model_from_dict, support_of
 
 EXIT_OK = 0
@@ -150,12 +149,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         emit(args, report, text=f"incompatible model: {len(violations)} violation(s)\n")
         return EXIT_INVALID
 
-    support = support_of(model)
-    verdict = sheaf_check(support, node_budget=args.budget_nodes)
-    lp = is_noncontextual(model, limit=args.budget_globals, budget=args.budget_pivots)
+    verdict = classify_contextuality(model, node_budget=args.budget_nodes,
+                                     limit=args.budget_globals, budget=args.budget_pivots)
     results = {
         "compatible": True,
-        "noncontextual": lp.noncontextual,
+        "noncontextual": verdict.noncontextual,
         "logically_contextual": verdict.logically_contextual,
         "strongly_contextual": verdict.strongly_contextual,
         "global_section_unique": verdict.global_section_unique,
@@ -178,12 +176,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = make_report(args, "check", {"model": meta}, results, started)
     lines = [
         "compatible:           yes",
-        f"noncontextual:        {'yes' if lp.noncontextual else 'no'}",
+        f"noncontextual:        {'yes' if verdict.noncontextual else 'no'}",
         f"logically contextual: {'yes' if verdict.logically_contextual else 'no'}",
         f"strongly contextual:  {'yes' if verdict.strongly_contextual else 'no'}",
     ]
     emit(args, report, text="\n".join(lines) + "\n")
-    return EXIT_OK if lp.noncontextual else EXIT_CONTEXTUAL
+    return EXIT_OK if verdict.noncontextual else EXIT_CONTEXTUAL
 
 
 def cmd_fraction(args: argparse.Namespace) -> int:
@@ -208,14 +206,14 @@ def cmd_fraction(args: argparse.Namespace) -> int:
     }
     report = make_report(args, "fraction", {"model": meta}, results, started)
     emit(args, report, text=f"contextual fraction: {fr.contextual_fraction}\n")
-    return EXIT_OK if fr.contextual_fraction == 0 else EXIT_CONTEXTUAL
+    return EXIT_OK if fr.noncontextual else EXIT_CONTEXTUAL
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
     support = support_of(model)
-    rep = obstruction_report(support, threads=args.threads, matrix_limit=args.budget_matrix)
+    rep = obstruction_report(support, matrix_limit=args.budget_matrix)
     cover = model.scenario.cover
     rows = [
         {
@@ -404,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=["rational", "float"], default=None,
                         help="override the model's numeric mode")
     common.add_argument("--output", default=None, help="write the report to a file")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common.add_argument("--seed", type=int, default=None,
                         help="seed recorded in the report for reproducibility")
     common.add_argument("--no-timings", action="store_true",

@@ -17,7 +17,6 @@ depend on these choices.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -300,23 +299,13 @@ class ObstructionReport:
 
 def obstruction_report(
     support_model: SupportModel,
-    threads: int = 1,
     matrix_limit: int = MATRIX_LIMIT,
 ) -> ObstructionReport:
     """Obstruction of every supported section, in deterministic order."""
     matrices = build_coboundary_matrices(support_model, limit=matrix_limit)
-    work = [
-        (ci, section)
+    entries = tuple(
+        obstruction(support_model, ci, section, matrices)
         for ci, ctx in enumerate(support_model.scenario.cover)
         for section in _sorted_support(support_model, ctx)
-    ]
-
-    def run(item: tuple[int, LocalSection]) -> SectionObstruction:
-        return obstruction(support_model, item[0], item[1], matrices)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(run, work))
-    else:
-        entries = [run(item) for item in work]
-    return ObstructionReport(tuple(entries), cech_invariants(support_model, matrices))
+    )
+    return ObstructionReport(entries, cech_invariants(support_model, matrices))

@@ -390,21 +390,6 @@ def evolve(
     return records, frames
 
 
-def energy(state: LambdaState, params: PhysicalParams, grid: Grid) -> float:
-    """Mean of kinetic plus external potential energy (diagnostic only)."""
-    psi = polar_decompose(state.rho, state.s, params)
-    psi_k = np.fft.fft(psi)
-    kinetic = (
-        params.hbar**2
-        / (2.0 * params.mass)
-        * np.sum(grid.k**2 * np.abs(psi_k) ** 2)
-        / len(psi)
-        * grid.dx
-    )
-    potential = np.sum(params.potential * state.rho) * grid.dx
-    return float(kinetic + potential)
-
-
 # ---------------------------------------------------------------------------
 # Initial data and potentials.
 

@@ -6,13 +6,14 @@ when some supported section extends to no such assignment.  At the
 probabilistic level a model is noncontextual when a distribution over global
 assignments reproduces every table; the noncontextual fraction generalizes
 this to the maximal explainable subdistribution, computed exactly by the
-rational simplex solver.
+rational simplex solver.  That one LP decides noncontextuality too: a model
+is noncontextual exactly when its noncontextual fraction is 1.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -84,7 +85,7 @@ class ContextualityVerdict:
 
     ``sheaf_check`` alone cannot affirm probabilistic noncontextuality, so it
     leaves the field None unless logical contextuality already refutes it;
-    :func:`classify_contextuality` fills it from the linear program.
+    :func:`classify_contextuality` fills it from the contextual-fraction LP.
     ``global_section_unique`` reports uniqueness of the gluing on supports
     (meaningful only when a global support section exists).
     """
@@ -241,9 +242,12 @@ def _lp_matrix(incidence: IncidenceMatrix, mode: str) -> list[list[Number]]:
 class NoncontextualityResult:
     """Feasibility of incidence . x = p with x >= 0, plus a certificate.
 
-    ``distribution`` maps global assignments to weights on success;
-    ``separating`` is a Farkas vector y (y.M >= 0, y.p < 0) on failure,
-    aligned with the incidence rows.
+    A view of the contextual-fraction LP.  ``distribution`` maps global
+    assignments to the optimal weights when the model is noncontextual: each
+    context's rows of incidence . x sum to NCF = 1, so the weights reproduce
+    p exactly.  ``separating`` is a Farkas vector y (y.M >= 0, y.p < 0) when
+    it is contextual, aligned with the incidence rows: the fraction dual minus
+    1/k in every entry, for k cover contexts.
     """
 
     noncontextual: bool
@@ -257,27 +261,43 @@ def is_noncontextual(
     limit: int = GLOBAL_LIMIT,
     budget: int = simplex.PIVOT_BUDGET,
 ) -> NoncontextualityResult:
-    """Decide existence of a global distribution reproducing every table."""
-    incidence = build_incidence(model.scenario, limit)
-    p = probability_vector(model, incidence)
-    result = simplex.feasible_eq(_lp_matrix(incidence, model.mode), p, model.mode, budget)
-    if result.status == "optimal":
-        assert result.x is not None
-        dist = {g: w for g, w in zip(incidence.columns, result.x) if w != 0}
+    """Decide existence of a global distribution reproducing every table.
+
+    A view of the contextual-fraction LP: the verdict is
+    :attr:`FractionReport.noncontextual`.
+    """
+    report = contextual_fraction(model, limit, budget)
+    incidence = report.incidence
+    if report.noncontextual:
+        dist = {g: w for g, w in zip(incidence.columns, report.weights) if w != 0}
         return NoncontextualityResult(True, incidence, dist, None)
-    assert result.certificate is not None
-    return NoncontextualityResult(False, incidence, None, tuple(result.certificate))
+    # y.M >= 1 on every column and each column has k ones, so y - 1/k is
+    # nonnegative on the columns while (y - 1/k).p = NCF - sum(p)/k < 0.
+    k = len(model.scenario.cover)
+    inv_k = Fraction(1, k) if model.mode == "rational" else 1.0 / k
+    separating = tuple(y - inv_k for y in report.dual)
+    return NoncontextualityResult(False, incidence, None, separating)
 
 
 @dataclass(frozen=True)
 class FractionReport:
-    """Optimal noncontextually-explainable weight and its complement."""
+    """Optimal noncontextually-explainable weight and its complement.
+
+    ``weights`` is an optimal x of max sum(x) s.t. incidence . x <= p, x >= 0,
+    and ``dual`` an optimal y >= 0 with y . incidence >= 1 componentwise.
+    ``noncontextual`` says whether a global distribution reproduces the model:
+    whether the mass of p that the weights leave unexplained,
+    sum(p - incidence . x) = sum(p) - k * NCF for k cover contexts, is zero
+    (exactly in rational mode, at most ``simplex.FLOAT_TOL`` in float mode).
+    For tables that sum to 1 this is NCF = 1.
+    """
 
     noncontextual_fraction: Number
     contextual_fraction: Number
     incidence: IncidenceMatrix
     weights: tuple[Number, ...]
     dual: tuple[Number, ...]
+    noncontextual: bool
 
 
 def contextual_fraction(
@@ -294,15 +314,25 @@ def contextual_fraction(
     result = simplex.maximize_leq(c, _lp_matrix(incidence, model.mode), p, model.mode, budget)
     assert result.status == "optimal" and result.x is not None and result.dual is not None
     ncf = result.objective
-    return FractionReport(ncf, one - ncf, incidence, tuple(result.x), tuple(result.dual))
+    # every incidence column has k ones, so sum(incidence . x) = k * NCF
+    unexplained = sum(p) - len(model.scenario.cover) * ncf
+    tol = 0 if model.mode == "rational" else simplex.FLOAT_TOL
+    return FractionReport(ncf, one - ncf, incidence, tuple(result.x), tuple(result.dual),
+                          unexplained <= tol)
 
 
 def classify_contextuality(
     model: EmpiricalModel,
     node_budget: int = NODE_BUDGET,
     limit: int = GLOBAL_LIMIT,
+    budget: int = simplex.PIVOT_BUDGET,
 ) -> ContextualityVerdict:
-    """Full hierarchy verdict for a compatible empirical model."""
+    """Full hierarchy verdict for a compatible empirical model.
+
+    Logical contextuality settles the verdict on supports alone; otherwise
+    ``noncontextual`` is a view of the contextual-fraction LP
+    (:attr:`FractionReport.noncontextual`), which runs only then.
+    """
     report = check_compatibility(model)
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.discrepancy)
@@ -312,15 +342,8 @@ def classify_contextuality(
     verdict = sheaf_check(support_of(model), node_budget)
     if verdict.logically_contextual:
         return verdict
-    lp = is_noncontextual(model, limit)
-    return ContextualityVerdict(
-        noncontextual=lp.noncontextual,
-        logically_contextual=verdict.logically_contextual,
-        strongly_contextual=verdict.strongly_contextual,
-        nonextendable_section=verdict.nonextendable_section,
-        global_support_section=verdict.global_support_section,
-        global_section_unique=verdict.global_section_unique,
-    )
+    fraction = contextual_fraction(model, limit, budget)
+    return replace(verdict, noncontextual=fraction.noncontextual)
 
 
 def model_from_global_weights(

@@ -5,11 +5,10 @@ so a dense tableau is fine.  In rational mode every comparison is exact and
 Bland's anti-cycling rule makes termination unconditional; float mode reuses
 the same pivoting with a 1e-9 feasibility tolerance.
 
-Two entry points cover what the gluing module needs:
-
-* :func:`maximize_leq` -- max c.x subject to A x <= b, x >= 0 (b >= 0).
-* :func:`feasible_eq`  -- find x >= 0 with A x = b, or a Farkas certificate
-  y with y.A >= 0 and y.b < 0 proving infeasibility.
+The one entry point, :func:`maximize_leq`, solves max c.x subject to
+A x <= b, x >= 0 and returns the optimal dual with the primal.  That is all
+the gluing module needs: the contextual-fraction LP decides noncontextuality
+too, and its dual yields the Farkas certificate of a contextual model.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ FLOAT_TOL = 1e-9
 
 @dataclass
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: list[Number] | None
     objective: Number | None
     dual: list[Number] | None
-    certificate: list[Number] | None
     pivots: int
 
 
@@ -51,7 +49,11 @@ def _one(mode: str) -> Number:
 
 
 class _Tableau:
-    """Rows [A | I | b] with an explicit reduced-cost row."""
+    """Rows [A | I | b] with an explicit reduced-cost row.
+
+    The identity (slack) columns cost nothing, so the slack basis starts
+    priced out and the reduced costs start equal to the costs.
+    """
 
     def __init__(self, a: Sequence[Sequence[Number]], b: Sequence[Number],
                  cost: Sequence[Number], mode: str, budget: int) -> None:
@@ -59,26 +61,14 @@ class _Tableau:
         self.tol = _tol(mode)
         self.budget = budget
         self.m = len(a)
-        self.n = len(cost) - self.m  # structural columns
+        self.n = len(cost)  # structural columns
         zero, one = _zero(mode), _one(mode)
         self.rows = [list(a[i]) + [one if k == i else zero for k in range(self.m)] + [b[i]]
                      for i in range(self.m)]
         self.cost = list(cost)
-        # reduced costs start equal to cost (initial basis is the identity block
-        # only when its cost is zero; callers with costed identity columns must
-        # price the basis out first via _price_out).
-        self.red = list(cost) + [zero]
+        self.red = list(cost) + [zero] * (self.m + 1)
         self.basis = [self.n + i for i in range(self.m)]
         self.pivots = 0
-
-    def _price_out(self) -> None:
-        # Make reduced costs of the initial basic columns zero.
-        for i, col in enumerate(self.basis):
-            coef = self.red[col]
-            if coef != 0:
-                row = self.rows[i]
-                for j in range(len(self.red)):
-                    self.red[j] -= coef * row[j]
 
     def _pivot(self, row: int, col: int) -> None:
         piv = self.rows[row][col]
@@ -130,12 +120,13 @@ class _Tableau:
         return x
 
     def dual(self) -> list[Number]:
-        # y_i = c(identity col i) - reduced cost(identity col i)
-        return [self.cost[self.n + i] - self.red[self.n + i] for i in range(self.m)]
+        # y_i = cost(slack i) - reduced cost(slack i), and slacks cost zero
+        zero = _zero(self.mode)
+        return [zero - self.red[self.n + i] for i in range(self.m)]
 
     def objective(self) -> Number:
         x = self.primal()
-        return sum(self.cost[j] * x[j] for j in range(self.n + self.m))
+        return sum(self.cost[j] * x[j] for j in range(self.n))
 
 
 def maximize_leq(
@@ -148,46 +139,15 @@ def maximize_leq(
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0 componentwise.
 
     The slack basis is feasible because b >= 0, so no phase I is needed.
+    ``dual`` is the optimal y >= 0 with y.A >= c and y.b equal to the
+    objective.
     """
     if any(bi < 0 for bi in b):
         raise ValueError("maximize_leq requires b >= 0")
-    m, n = len(a), len(c)
-    cost = list(c) + [_zero(mode)] * m
-    tab = _Tableau(a, b, cost, mode, budget)
+    tab = _Tableau(a, b, c, mode, budget)
     status = tab.solve()
     if status != "optimal":
-        return LPResult("unbounded", None, None, None, None, tab.pivots)
-    x = tab.primal()[:n]
-    return LPResult("optimal", x, tab.objective(), tab.dual(), None, tab.pivots)
+        return LPResult("unbounded", None, None, None, tab.pivots)
+    x = tab.primal()[:len(c)]
+    return LPResult("optimal", x, tab.objective(), tab.dual(), tab.pivots)
 
-
-def feasible_eq(
-    a: Sequence[Sequence[Number]],
-    b: Sequence[Number],
-    mode: str = "rational",
-    budget: int = PIVOT_BUDGET,
-) -> LPResult:
-    """Find x >= 0 with A x = b via phase-I artificials.
-
-    Infeasibility comes with a Farkas certificate y (in the original row
-    orientation): y.A >= 0 componentwise while y.b < 0.
-    """
-    m, n = len(a), (len(a[0]) if a else 0)
-    signs = [1 if bi >= 0 else -1 for bi in b]
-    a_pos = [[s * v for v in row] for s, row in zip(signs, a)]
-    b_pos = [s * bi for s, bi in zip(signs, b)]
-    neg_one = -_one(mode)
-    cost = [_zero(mode)] * n + [neg_one] * m
-    tab = _Tableau(a_pos, b_pos, cost, mode, budget)
-    tab._price_out()
-    status = tab.solve()
-    if status != "optimal":  # phase I is bounded above by zero
-        raise AssertionError("phase I cannot be unbounded")
-    residual = -tab.objective()
-    tol = FLOAT_TOL if mode == "float" else 0
-    if residual > tol:
-        y = tab.dual()
-        y_orig = [s * yi for s, yi in zip(signs, y)]
-        return LPResult("infeasible", None, None, None, y_orig, tab.pivots)
-    x = tab.primal()[:n]
-    return LPResult("optimal", x, _zero(mode), None, None, tab.pivots)

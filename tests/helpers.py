@@ -100,6 +100,39 @@ def random_global_model(
     return sk.model_from_global_weights(scenario, dist)
 
 
+def random_box_mixture(rng: random.Random) -> sk.EmpiricalModel:
+    """v * (PR-like box on an n-cycle) + (1 - v) * a random global projection.
+
+    The box is perfectly correlated on every edge except an odd number of
+    anticorrelated ones, so no global assignment fits its support; small v
+    stays noncontextual and large v does not.
+    """
+    n = rng.randint(3, 5)
+    scenario = sk.build_scenario(
+        [(f"x{i}", 2) for i in range(n)], [[f"x{i}", f"x{(i + 1) % n}"] for i in range(n)]
+    )
+    odd = set(rng.sample(range(n), rng.choice([1, 3])))
+    v = Fraction(rng.randint(0, 10), 10)
+    noise = random_global_model(rng, scenario)
+    tables = {}
+    for i, ctx in enumerate(scenario.cover):
+        table = {}
+        for s, q in noise.table(ctx).items():
+            box = HALF if (s.outcomes[0] ^ s.outcomes[1]) == (i in odd) else Fraction(0)
+            table[s.outcomes] = v * box + (1 - v) * q
+        tables[ctx.members] = table
+    return sk.build_model(scenario, tables)
+
+
+def float_copy(model: sk.EmpiricalModel) -> dict:
+    """The model's file form with every probability rounded to a float."""
+    data = sk.model_to_dict(model)
+    data["mode"] = "float"
+    for entry in data["tables"]:
+        entry["probs"] = {k: float(Fraction(v)) for k, v in entry["probs"].items()}
+    return data
+
+
 def random_support_model(rng: random.Random, scenario: sk.MeasurementScenario) -> sk.SupportModel:
     """Rejection-sample possibilistically compatible supports."""
     while True:
@@ -213,3 +246,14 @@ def verify_farkas_certificate(model: sk.EmpiricalModel, result: sk.Noncontextual
         col = sum(y[r] * incidence.entries[r][c] for r in range(len(incidence.rows)))
         assert col >= 0
     assert sum(yi * pi for yi, pi in zip(y, p)) < 0
+
+
+def verify_global_distribution(model: sk.EmpiricalModel, result: sk.NoncontextualityResult) -> None:
+    """The distribution is nonnegative and reproduces every table exactly."""
+    assert result.distribution is not None
+    incidence = result.incidence
+    p = sk.gluing.probability_vector(model, incidence)
+    x = [result.distribution.get(g, Fraction(0)) for g in incidence.columns]
+    assert all(w >= 0 for w in x)
+    for r in range(len(incidence.rows)):
+        assert sum(incidence.entries[r][c] * x[c] for c in range(len(x))) == p[r]

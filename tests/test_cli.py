@@ -83,6 +83,33 @@ def test_fraction_deterministic_zero(capsys):
     assert sum(eval_frac(w) for w in report["results"]["weights"].values()) == 1
 
 
+def test_fraction_exit_agrees_with_check_in_float_mode(tmp_path, capsys):
+    # Float projections of global distributions are noncontextual, but the
+    # fraction LP can return CF = +-1e-16 on them; both subcommands must then
+    # apply the same tolerance.  The last model's tables sum to 1 - 8e-10,
+    # within the loader's tolerance: its CF is 8e-10, yet a global
+    # distribution explains all of its mass.
+    import random
+
+    from helpers import bell_scenario, deterministic_model, float_copy, random_global_model
+
+    rng = random.Random(7)
+    models = [float_copy(random_global_model(rng, bell_scenario())) for _ in range(6)]
+    short = float_copy(deterministic_model())
+    for entry in short["tables"]:
+        entry["probs"] = {k: v * (1 - 8e-10) for k, v in entry["probs"].items()}
+    models.append(short)
+    rounded = 0
+    for i, data in enumerate(models):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(data))
+        code, report, _ = run_json(["fraction", str(path), "--no-timings"], capsys)
+        rounded += report["results"]["contextual_fraction"] != 0
+        assert code == cli.EXIT_OK
+        assert run_cli(["check", str(path), "--no-timings"], capsys)[0] == cli.EXIT_OK
+    assert rounded > 1
+
+
 def eval_frac(text):
     from fractions import Fraction
 
@@ -335,6 +362,17 @@ def test_mode_override_to_float(capsys):
     )
     assert code == cli.EXIT_CONTEXTUAL
     assert report["results"]["strongly_contextual"] is True
+
+
+def test_check_skips_lp_when_logically_contextual(capsys):
+    # The PR box is decided on supports, so a globals budget too small for its
+    # 16-column incidence never comes into play.
+    code, report, _ = run_json(["check", "prbox", "--budget-globals", "1", "--no-timings"], capsys)
+    assert code == cli.EXIT_CONTEXTUAL
+    assert report["results"]["noncontextual"] is False
+    code, _, err = run_cli(["fraction", "prbox", "--budget-globals", "1"], capsys)
+    assert code == cli.EXIT_INVALID
+    assert "global assignments" in err
 
 
 def test_budget_flags_propagate(capsys):

@@ -339,12 +339,3 @@ def test_invariants_independent_of_cover_order():
     a = cech_invariants(sk.support_of(model))
     b = cech_invariants(sk.support_of(permuted))
     assert (a.h0_rank, a.h1_rank, a.h1_torsion) == (b.h0_rank, b.h1_rank, b.h1_torsion)
-
-
-def test_obstruction_report_threads_agree():
-    supp = sk.support_of(pr_box_model())
-    seq = obstruction_report(supp, threads=1)
-    par = obstruction_report(supp, threads=4)
-    assert [(e.context_index, e.section, e.vanishes) for e in seq.entries] == [
-        (e.context_index, e.section, e.vanishes) for e in par.entries
-    ]

@@ -356,16 +356,6 @@ def test_two_gaussian_state_symmetric():
     assert np.max(np.abs(left - right)) < 1e-12
 
 
-def test_energy_diagnostic():
-    g = make_grid()
-    p = sk.physical_params(g, lam=1.0)
-    st = dynamics.gaussian_state(g, p, 0.0, 0.5, momentum=1.5)
-    e = dynamics.energy(st, p, g)
-    # kinetic = p^2/2m + hbar^2/(8 m sigma^2)
-    expected = 1.5**2 / 2 + 1.0 / (8 * 0.25)
-    assert abs(e - expected) < 1e-3
-
-
 def test_lambda_from_sigma_default_map():
     g = make_grid()
     p = sk.physical_params(g, mass=1.0, hbar=1.0)

@@ -12,6 +12,7 @@ from helpers import (
     brute_force_globals,
     deterministic_model,
     pr_box_model,
+    random_box_mixture,
     random_global_model,
     random_scenario,
     random_support_model,
@@ -19,6 +20,7 @@ from helpers import (
     triangle_scenario,
     verify_farkas_certificate,
     verify_fraction_certificate,
+    verify_global_distribution,
 )
 
 F = Fraction
@@ -181,13 +183,7 @@ def test_projected_models_are_noncontextual_with_exact_preimage():
         model = random_global_model(rng, sc)
         res = sk.is_noncontextual(model)
         assert res.noncontextual
-        # the returned distribution reproduces the tables exactly
-        inc = res.incidence
-        p = sk.gluing.probability_vector(model, inc)
-        x = [res.distribution.get(g, F(0)) for g in inc.columns]
-        assert all(w >= 0 for w in x)
-        for r in range(len(inc.rows)):
-            assert sum(inc.entries[r][c] * x[c] for c in range(len(x))) == p[r]
+        verify_global_distribution(model, res)
 
 
 def test_pr_box_not_noncontextual_with_farkas_certificate():
@@ -281,6 +277,8 @@ def test_hierarchy_on_compatible_models():
     rng = random.Random(31)
     models = [pr_box_model(), triangle_anticorrelated_model(), deterministic_model()]
     models += [random_global_model(rng, random_scenario(rng)) for _ in range(10)]
+    models += [random_box_mixture(rng) for _ in range(12)]
+    contextual = 0
     for model in models:
         verdict = sk.sheaf_check(sk.support_of(model))
         lp = sk.is_noncontextual(model)
@@ -288,6 +286,12 @@ def test_hierarchy_on_compatible_models():
             assert verdict.logically_contextual
         if verdict.logically_contextual:
             assert not lp.noncontextual
+        if lp.noncontextual:
+            verify_global_distribution(model, lp)
+        else:
+            verify_farkas_certificate(model, lp)
+            contextual += 1
+    assert 4 < contextual < len(models) - 4
 
 
 def test_classify_contextuality_fills_noncontextual():

@@ -52,42 +52,6 @@ def test_maximize_degenerate_terminates():
     assert res.objective == F(1, 20)
 
 
-def test_feasible_eq_simple():
-    res = simplex.feasible_eq([[F(1), F(1)]], [F(1)])
-    assert res.status == "optimal"
-    assert sum(res.x) == 1
-
-
-def test_feasible_eq_infeasible_with_farkas():
-    # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
-    a = [[F(1), F(1)], [F(1), F(1)]]
-    b = [F(1), F(2)]
-    res = simplex.feasible_eq(a, b)
-    assert res.status == "infeasible"
-    y = res.certificate
-    for c in range(2):
-        assert sum(y[r] * a[r][c] for r in range(2)) >= 0
-    assert sum(yi * bi for yi, bi in zip(y, b)) < 0
-
-
-def test_feasible_eq_negative_rhs_rows():
-    # -x = -3 is feasible with x = 3
-    res = simplex.feasible_eq([[F(-1)]], [F(-3)])
-    assert res.status == "optimal"
-    assert res.x == [3]
-
-
-def test_feasible_eq_infeasible_sign_flip():
-    # x >= 0 with x = -1 is infeasible; certificate must survive row negation
-    a = [[F(1)]]
-    b = [F(-1)]
-    res = simplex.feasible_eq(a, b)
-    assert res.status == "infeasible"
-    y = res.certificate
-    assert y[0] * a[0][0] >= 0
-    assert y[0] * b[0] < 0
-
-
 def test_float_mode():
     res = simplex.maximize_leq([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0], mode="float")
     assert res.status == "optimal"
