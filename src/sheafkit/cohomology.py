@@ -4,10 +4,14 @@ Coefficients live in the presheaf of free abelian groups generated by the
 supported sections, so differences of restricted sections are meaningful.
 The degree-0 coboundary takes a family (one section combination per cover
 context) to its pairwise disagreements on overlaps; gluing is exactly its
-kernel.  A supported section's obstruction asks for an integer-coefficient
-family that extends it with all disagreements zero, decided exactly by Smith
-normal form.  Non-vanishing certifies non-extendability; the converse is not
-asserted anywhere.
+kernel, the lattice of integer-coefficient families with all disagreements
+zero.  A supported section's obstruction asks whether some family in that
+lattice extends it, i.e. whether the lattice's projection onto the section's
+context contains the section's generator.  That is decided exactly by Smith
+normal form: one of D0 for a kernel basis (which also gives H0), then one of
+the projected basis per context for all of that context's sections.
+Non-vanishing certifies non-extendability; the converse is not asserted
+anywhere.
 
 Basis conventions: sections are ordered lexicographically within each cell,
 cells by cover index (edges by (i, j), triangles by (i, j, k), i < j < k),
@@ -17,11 +21,12 @@ depend on these choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import SizeLimitExceeded
-from .intlinalg import ZMat, quotient_invariants, smith_normal_form, solve
+from .intlinalg import SmithForm, ZMat, kernel_basis, quotient_invariants, smith_normal_form
 from .presheaf import LocalSection, SupportModel, restrict
 from .scenario import Context, Nerve, build_nerve
 
@@ -121,7 +126,8 @@ class CoboundaryMatrices:
     """D0: C0 -> C1 and D1: C1 -> C2 over supported-section bases.
 
     Row/column index maps are stored alongside; D1 . D0 = 0 is verified at
-    construction.
+    construction.  The kernel of D0 and its per-context projections are
+    computed on first use and kept.
     """
 
     nerve: Nerve
@@ -130,9 +136,17 @@ class CoboundaryMatrices:
     triangle_basis: tuple[tuple[int, LocalSection], ...]
     d0: ZMat
     d1: ZMat
+    _projections: dict[int, SmithForm] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def vertex_column(self, vertex: int, section: LocalSection) -> int:
         return self.vertex_basis.index((vertex, section))
+
+    @cached_property
+    def kernel(self) -> list[list[int]]:
+        """Integer basis of ker D0: every family with zero coboundary."""
+        return kernel_basis(self.d0)
 
 
 def _sorted_support(support_model: SupportModel, ctx: Context) -> list[LocalSection]:
@@ -213,7 +227,7 @@ def build_coboundary_matrices(
 
 
 # ---------------------------------------------------------------------------
-# Per-section obstruction and the cohomology invariants.
+# Obstructions from the kernel lattice, and the cohomology invariants.
 
 
 @dataclass(frozen=True)
@@ -224,6 +238,20 @@ class SectionObstruction:
     witness: Cochain0 | None
 
 
+def _projected_kernel(matrices: CoboundaryMatrices, vertex: int) -> tuple[list[int], SmithForm]:
+    """One context's block of columns and the Smith form of ker D0 projected onto it.
+
+    The projected basis spans the projection over the integers.
+    """
+    block = [c for c, (vi, _) in enumerate(matrices.vertex_basis) if vi == vertex]
+    nf = matrices._projections.get(vertex)
+    if nf is None:
+        kernel = matrices.kernel
+        projected = ZMat(len(block), len(kernel), [[k[c] for k in kernel] for c in block])
+        nf = matrices._projections[vertex] = smith_normal_form(projected)
+    return block, nf
+
+
 def obstruction(
     support_model: SupportModel,
     context_index: int,
@@ -232,9 +260,12 @@ def obstruction(
 ) -> SectionObstruction:
     """Decide whether a compatible integer family extends the section.
 
-    Solves D0 r = 0 over the integers with the component at the chosen
-    context pinned to the section's generator.  A solution is returned as a
-    witness family; unsolvability is the non-vanishing obstruction.
+    With K an integer basis of ker D0, the obstruction vanishes exactly when
+    (K restricted to the context's block) z = e_section has an integer
+    solution.  The block's Smith form is computed once per context and kept
+    on ``matrices``.  A solution gives the witness family K z, whose
+    component at the context is the section's generator; unsolvability is
+    the non-vanishing obstruction.
     """
     if matrices is None:
         matrices = build_coboundary_matrices(support_model)
@@ -243,19 +274,18 @@ def obstruction(
     if section not in support_model.support(ctx):
         raise ValueError(f"section {section.label()} not in the support of {ctx.label()}")
 
+    block, nf = _projected_kernel(matrices, context_index)
     fixed = matrices.vertex_column(context_index, section)
-    free_cols = [c for c, (vi, _) in enumerate(matrices.vertex_basis) if vi != context_index]
-    rows = matrices.d0.m
-    a = ZMat(rows, len(free_cols), [[matrices.d0.a[r][c] for c in free_cols] for r in range(rows)])
-    rhs = [-matrices.d0.a[r][fixed] for r in range(rows)]
-    u = solve(a, rhs)
-    if u is None:
+    z = nf.solve([int(c == fixed) for c in block])
+    if z is None:
         return SectionObstruction(context_index, section, False, None)
 
+    family = [0] * len(matrices.vertex_basis)
+    for zj, k in zip(z, matrices.kernel):
+        if zj:
+            family = [f + zj * kc for f, kc in zip(family, k)]
     coeffs: list[dict[LocalSection, int]] = [dict() for _ in scenario.cover]
-    coeffs[context_index][section] = 1
-    for value, col in zip(u, free_cols):
-        vi, s = matrices.vertex_basis[col]
+    for (vi, s), value in zip(matrices.vertex_basis, family):
         if value:
             coeffs[vi][s] = value
     witness = Cochain0(tuple(fa_section(c, m) for c, m in zip(scenario.cover, coeffs)))
@@ -276,7 +306,7 @@ def cech_invariants(
     """H0 = ker D0; H1 = ker D1 / im D0 via Smith normal form."""
     if matrices is None:
         matrices = build_coboundary_matrices(support_model)
-    h0 = matrices.d0.n - smith_normal_form(matrices.d0).rank
+    h0 = len(matrices.kernel)
     h1_rank, torsion = quotient_invariants(matrices.d1, matrices.d0)
     return CechInvariants(h0, h1_rank, tuple(torsion))
 
@@ -301,7 +331,11 @@ def obstruction_report(
     support_model: SupportModel,
     matrix_limit: int = MATRIX_LIMIT,
 ) -> ObstructionReport:
-    """Obstruction of every supported section, in deterministic order."""
+    """Obstruction of every supported section, in deterministic order.
+
+    Verdicts and invariants share one set of matrices: one Smith form of D0,
+    and one per context however many sections it supports.
+    """
     matrices = build_coboundary_matrices(support_model, limit=matrix_limit)
     entries = tuple(
         obstruction(support_model, ci, section, matrices)

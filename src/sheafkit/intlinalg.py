@@ -81,6 +81,27 @@ class SmithForm:
     rank: int
     divisors: list[int]
 
+    def solve(self, b: Sequence[int]) -> list[int] | None:
+        """One integer solution of A x = b, or None when none exists.
+
+        With U A V = S, A x = b becomes S w = U b with x = V w, which is
+        decided entry by entry on the diagonal; one Smith form answers any
+        number of right-hand sides.
+        """
+        if len(b) != self.u.m:
+            raise ValueError("right-hand side length mismatch")
+        ub = self.u.matvec(list(b))
+        w = [0] * self.v.m
+        for k, value in enumerate(ub):
+            if k < self.rank:
+                d = self.s.a[k][k]
+                if value % d:
+                    return None
+                w[k] = value // d
+            elif value != 0:
+                return None
+        return self.v.matvec(w)
+
 
 def smith_normal_form(mat: ZMat) -> SmithForm:
     s = mat.clone()
@@ -118,15 +139,21 @@ def smith_normal_form(mat: ZMat) -> SmithForm:
 
     t = 0
     while t < min(m, n):
-        # Find the smallest-magnitude nonzero entry in the trailing block.
+        # Find the first smallest-magnitude nonzero entry, in row-major
+        # order, of the trailing block; no entry beats a unit.
         pivot = None
         best = None
         for i in range(t, m):
+            row = s.a[i]
             for j in range(t, n):
-                val = abs(s.a[i][j])
+                val = abs(row[j])
                 if val and (best is None or val < best):
                     best = val
                     pivot = (i, j)
+                    if val == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -175,31 +202,13 @@ def smith_normal_form(mat: ZMat) -> SmithForm:
 
 def solve(mat: ZMat, b: Sequence[int]) -> list[int] | None:
     """One integer solution of A x = b, or None when none exists."""
-    if len(b) != mat.m:
-        raise ValueError("right-hand side length mismatch")
-    nf = smith_normal_form(mat)
-    ub = nf.u.matvec(list(b))
-    w = [0] * mat.n
-    for k in range(mat.m):
-        if k < nf.rank:
-            d = nf.s.a[k][k]
-            if ub[k] % d:
-                return None
-            if k < mat.n:
-                w[k] = ub[k] // d
-        elif ub[k] != 0:
-            return None
-    return nf.v.matvec(w)
+    return smith_normal_form(mat).solve(b)
 
 
 def kernel_basis(mat: ZMat) -> list[list[int]]:
     """Integer basis of ker A (columns of V past the rank)."""
     nf = smith_normal_form(mat)
     return [[nf.v.a[i][j] for i in range(mat.n)] for j in range(nf.rank, mat.n)]
-
-
-def rank(mat: ZMat) -> int:
-    return smith_normal_form(mat).rank
 
 
 def quotient_invariants(d_out: ZMat, d_in: ZMat) -> tuple[int, list[int]]:

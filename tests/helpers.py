@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's decision paths: global
 search is plain itertools enumeration, rational rank is a fresh Gaussian
-elimination, and LP answers are checked through duality certificates.
+elimination, LP answers are checked through duality certificates, and a
+section's obstruction is re-decided by its own integer system.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 from fractions import Fraction
 
 import sheafkit as sk
+from sheafkit.intlinalg import ZMat, solve
 
 HALF = Fraction(1, 2)
 
@@ -76,7 +78,7 @@ def random_scenario(rng: random.Random, max_observables: int = 4) -> sk.Measurem
         # drop dominated candidates, keep one copy each
         maximal = [
             c
-            for c in set(candidates)
+            for c in sorted(set(candidates))
             if not any(set(c) < set(d) for d in candidates)
         ]
         covered = {m for c in maximal for m in c}
@@ -190,6 +192,20 @@ def brute_force_extends(support_model: sk.SupportModel, ctx_index: int,
         if all(g[m] == target[m] for m in ctx.members):
             return True
     return False
+
+
+def free_column_vanishes(matrices, context_index: int, section: sk.LocalSection) -> bool:
+    """One section's obstruction, decided by its own integer system.
+
+    Solves D0 r = 0 with the context's block pinned to the section's
+    generator and every other context's columns free: one Smith form per
+    section, where the library needs one per context.
+    """
+    d0 = matrices.d0
+    fixed = matrices.vertex_column(context_index, section)
+    free = [c for c, (vi, _) in enumerate(matrices.vertex_basis) if vi != context_index]
+    a = ZMat(d0.m, len(free), [[row[c] for c in free] for row in d0.a])
+    return solve(a, [-row[fixed] for row in d0.a]) is not None
 
 
 def q_rank(rows: list[list[Fraction]]) -> int:

@@ -19,6 +19,7 @@ from helpers import (
     bell_scenario,
     brute_force_extends,
     deterministic_model,
+    free_column_vanishes,
     pr_box_model,
     q_rank,
     random_global_model,
@@ -257,6 +258,50 @@ def test_soundness_on_random_models():
                     assert all(part.is_zero() for part in image.components)
                     checked += 1
     assert checked > 100
+
+
+def _bell(m, d, tables):
+    """Bell m x m x d scenario; tables[(i, j)] maps (a_i, b_j) to a probability."""
+    sc = sk.build_scenario(
+        [(f"a{i}", d) for i in range(m)] + [(f"b{j}", d) for j in range(m)],
+        [[f"a{i}", f"b{j}"] for i in range(m) for j in range(m)],
+    )
+    return sk.build_model(sc, {(f"a{i}", f"b{j}"): t for (i, j), t in tables.items()})
+
+
+def test_report_agrees_with_free_column_oracle():
+    rng = random.Random(9090)
+    models = [
+        random_support_model(rng, random_scenario(rng, max_observables=5)) for _ in range(200)
+    ]
+    # all-versus-nothing: a_i xor b_j = 1 only at (2, 2), which no g(i) xor h(j) fits
+    models.append(sk.support_of(_bell(3, 2, {
+        (i, j): {(a, a ^ (i == j == 2)): HALF for a in (0, 1)} for i in range(3) for j in range(3)
+    })))
+    # uniform mixture of the nine constant assignments and two more
+    assignments = [((x, x), (y, y)) for x in range(3) for y in range(3)]
+    assignments += [((0, 1), (2, 0)), ((1, 2), (0, 2))]
+    tables = {}
+    for i in range(2):
+        for j in range(2):
+            t = tables.setdefault((i, j), {})
+            for a, b in assignments:
+                t[(a[i], b[j])] = t.get((a[i], b[j]), 0) + F(1, len(assignments))
+    models.append(sk.support_of(_bell(2, 3, tables)))
+    models += [sk.support_of(pr_box_model()), sk.support_of(triangle_anticorrelated_model())]
+
+    seen = {"triangles": 0, True: 0, False: 0}
+    for supp in models:
+        mats = build_coboundary_matrices(supp)
+        seen["triangles"] += bool(mats.nerve.triangles)
+        for e in obstruction_report(supp).entries:
+            assert e.vanishes == free_column_vanishes(mats, e.context_index, e.section)
+            seen[e.vanishes] += 1
+            if e.vanishes:
+                assert e.witness.components[e.context_index].coefficients == {e.section: 1}
+                image = coboundary0(e.witness, mats.nerve)
+                assert all(part.is_zero() for part in image.components)
+    assert all(seen.values()), seen
 
 
 # --- invariants ---------------------------------------------------------------------

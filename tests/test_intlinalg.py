@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sheafkit.intlinalg import ZMat, kernel_basis, quotient_invariants, rank, smith_normal_form, solve
+from sheafkit.intlinalg import ZMat, kernel_basis, quotient_invariants, smith_normal_form, solve
 
 
 def check_snf(mat: ZMat) -> None:
@@ -79,6 +79,19 @@ def test_solve_random_roundtrip():
         assert mat.matvec(x) == b
 
 
+def test_smith_form_solves_many_right_hand_sides():
+    # one Smith form answers every b; unsolvable ones agree with the lattice
+    mat = ZMat.from_rows([[2, 0], [0, 3], [2, 3]])
+    nf = smith_normal_form(mat)
+    for x0 in ([1, 0], [0, 1], [-2, 5]):
+        b = mat.matvec(x0)
+        assert mat.matvec(nf.solve(b)) == b
+    assert nf.solve([1, 0, 1]) is None  # 2x = 1 has no integer solution
+    assert nf.solve([2, 3, 0]) is None  # third row must be the sum of the others
+    with pytest.raises(ValueError):
+        nf.solve([1, 2])
+
+
 def test_kernel_basis():
     mat = ZMat.from_rows([[1, 1, 0], [0, 0, 2]])
     basis = kernel_basis(mat)
@@ -86,11 +99,6 @@ def test_kernel_basis():
     assert mat.matvec(basis[0]) == [0, 0]
     # kernel vector is primitive up to sign
     assert sorted(map(abs, basis[0])) == [0, 1, 1]
-
-
-def test_rank():
-    assert rank(ZMat.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(ZMat.from_rows([[1, 0], [0, 5]])) == 2
 
 
 def test_quotient_invariants_torsion():
