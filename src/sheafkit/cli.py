@@ -133,24 +133,23 @@ def emit(args: argparse.Namespace, report: dict, text: str | None = None) -> Non
 def cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
-    compat = check_compatibility(model)
-    if not compat.ok:
+    try:
+        verdict = classify_contextuality(model, node_budget=args.budget_nodes,
+                                         limit=args.budget_globals, budget=args.budget_pivots)
+    except IncompatibleModel as exc:
         violations = [
             {
                 "pair": list(v.pair),
                 "overlap": v.overlap.label(),
                 "discrepancy": v.discrepancy,
             }
-            for v in compat.violations
+            for v in exc.report.violations
         ]
         report = make_report(args, "check", {"model": meta},
                              {"error": "incompatible model", "violations": violations},
                              started)
         emit(args, report, text=f"incompatible model: {len(violations)} violation(s)\n")
         return EXIT_INVALID
-
-    verdict = classify_contextuality(model, node_budget=args.budget_nodes,
-                                     limit=args.budget_globals, budget=args.budget_pivots)
     results = {
         "compatible": True,
         "noncontextual": verdict.noncontextual,

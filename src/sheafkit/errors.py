@@ -46,7 +46,15 @@ class OutcomeOutOfRange(SheafkitError):
 
 
 class IncompatibleModel(SheafkitError):
-    """An empirical model's marginals disagree on a context overlap."""
+    """An empirical model's marginals disagree on a context overlap.
+
+    ``report`` is the :class:`~sheafkit.presheaf.CompatibilityReport` that
+    found the disagreement, so callers can list every violation.
+    """
+
+    def __init__(self, message: str, report) -> None:
+        super().__init__(message)
+        self.report = report
 
 
 class SolverBudgetExceeded(SheafkitError):

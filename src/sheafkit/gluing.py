@@ -6,8 +6,12 @@ when some supported section extends to no such assignment.  At the
 probabilistic level a model is noncontextual when a distribution over global
 assignments reproduces every table; the noncontextual fraction generalizes
 this to the maximal explainable subdistribution, computed exactly by the
-rational simplex solver.  That one LP decides noncontextuality too: a model
-is noncontextual exactly when its noncontextual fraction is 1.
+revised simplex of :mod:`sheafkit.simplex`.  The LP's matrix is the 0/1
+incidence, handed over as is: the solver reads each global assignment's
+column once as its k unit entries (one per context), prices it as a sum of k
+dual entries under Bland's rule, and never builds a dense tableau.  That one
+LP decides noncontextuality too: a model is noncontextual exactly when its
+noncontextual fraction is 1.
 """
 
 from __future__ import annotations
@@ -209,9 +213,6 @@ class IncidenceMatrix:
     columns: tuple[GlobalAssignment, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def row_of(self, context_index: int, section: LocalSection) -> int:
-        return self.rows.index((context_index, section))
-
 
 def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) -> IncidenceMatrix:
     """Materialize the gluing-condition matrix for a scenario."""
@@ -230,12 +231,6 @@ def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) ->
 def probability_vector(model: EmpiricalModel, incidence: IncidenceMatrix) -> list[Number]:
     """Model probabilities aligned with the incidence row order."""
     return [model.table(model.scenario.cover[ci])[sec] for ci, sec in incidence.rows]
-
-
-def _lp_matrix(incidence: IncidenceMatrix, mode: str) -> list[list[Number]]:
-    if mode == "rational":
-        return [[Fraction(v) for v in row] for row in incidence.entries]
-    return [[float(v) for v in row] for row in incidence.entries]
 
 
 @dataclass(frozen=True)
@@ -311,7 +306,7 @@ def contextual_fraction(
     p = probability_vector(model, incidence)
     one = Fraction(1) if model.mode == "rational" else 1.0
     c = [one] * len(incidence.columns)
-    result = simplex.maximize_leq(c, _lp_matrix(incidence, model.mode), p, model.mode, budget)
+    result = simplex.maximize_leq(c, incidence.entries, p, model.mode, budget)
     assert result.status == "optimal" and result.x is not None and result.dual is not None
     ncf = result.objective
     # every incidence column has k ones, so sum(incidence . x) = k * NCF
@@ -331,13 +326,15 @@ def classify_contextuality(
 
     Logical contextuality settles the verdict on supports alone; otherwise
     ``noncontextual`` is a view of the contextual-fraction LP
-    (:attr:`FractionReport.noncontextual`), which runs only then.
+    (:attr:`FractionReport.noncontextual`), which runs only then.  Raises
+    :class:`IncompatibleModel`, carrying the compatibility report, when the
+    marginals disagree.
     """
     report = check_compatibility(model)
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.discrepancy)
         raise IncompatibleModel(
-            f"marginals disagree on {worst.overlap.label()} by {worst.discrepancy}"
+            f"marginals disagree on {worst.overlap.label()} by {worst.discrepancy}", report
         )
     verdict = sheaf_check(support_of(model), node_budget)
     if verdict.logically_contextual:

@@ -1,9 +1,19 @@
-"""Dense primal simplex with Bland's rule, exact over rationals.
+"""Revised primal simplex with Bland's rule, exact over rationals.
 
-The linear programs decided here are small (desk-scale incidence matrices),
-so a dense tableau is fine.  In rational mode every comparison is exact and
-Bland's anti-cycling rule makes termination unconditional; float mode reuses
-the same pivoting with a 1e-9 feasibility tolerance.
+The solver keeps the basis inverse B^-1 (m x m), the basic values x_B and the
+dual y = c_B . B^-1, and reads the constraint matrix A only once, as sparse
+columns: each column becomes its nonzero (row, coefficient) pairs.  Pricing a
+column is then a sum over its few entries, and a pivot rewrites B^-1 instead
+of a dense m x (n + m) tableau.  On the incidence matrices of the gluing
+module every column holds one 1 per context, so a column prices as a sum of
+k dual entries with no multiplication.
+
+Bland's anti-cycling rule picks the pivots: the entering column is the first
+one, in index order (structural columns, then slacks), whose reduced cost is
+positive, and the leaving row has the smallest ratio, ties going to the
+smallest basis index.  In rational mode every comparison is exact, so
+termination is unconditional and the pivots are exactly those of the dense
+tableau; float mode reuses the same rule with a 1e-9 feasibility tolerance.
 
 The one entry point, :func:`maximize_leq`, solves max c.x subject to
 A x <= b, x >= 0 and returns the optimal dual with the primal.  That is all
@@ -36,97 +46,12 @@ class LPResult:
     pivots: int
 
 
-def _tol(mode: str) -> Number:
-    return Fraction(0) if mode == "rational" else FLOAT_TOL
-
-
-def _zero(mode: str) -> Number:
-    return Fraction(0) if mode == "rational" else 0.0
-
-
-def _one(mode: str) -> Number:
-    return Fraction(1) if mode == "rational" else 1.0
-
-
-class _Tableau:
-    """Rows [A | I | b] with an explicit reduced-cost row.
-
-    The identity (slack) columns cost nothing, so the slack basis starts
-    priced out and the reduced costs start equal to the costs.
-    """
-
-    def __init__(self, a: Sequence[Sequence[Number]], b: Sequence[Number],
-                 cost: Sequence[Number], mode: str, budget: int) -> None:
-        self.mode = mode
-        self.tol = _tol(mode)
-        self.budget = budget
-        self.m = len(a)
-        self.n = len(cost)  # structural columns
-        zero, one = _zero(mode), _one(mode)
-        self.rows = [list(a[i]) + [one if k == i else zero for k in range(self.m)] + [b[i]]
-                     for i in range(self.m)]
-        self.cost = list(cost)
-        self.red = list(cost) + [zero] * (self.m + 1)
-        self.basis = [self.n + i for i in range(self.m)]
-        self.pivots = 0
-
-    def _pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        self.rows[row] = [v / piv for v in self.rows[row]]
-        prow = self.rows[row]
-        for i in range(self.m):
-            if i != row and self.rows[i][col] != 0:
-                coef = self.rows[i][col]
-                self.rows[i] = [v - coef * p for v, p in zip(self.rows[i], prow)]
-        coef = self.red[col]
-        if coef != 0:
-            for j in range(len(self.red)):
-                self.red[j] -= coef * prow[j]
-        self.basis[row] = col
-        self.pivots += 1
-
-    def solve(self) -> str:
-        """Run primal simplex to optimality; returns "optimal" or "unbounded"."""
-        width = self.n + self.m
-        while True:
-            if self.pivots > self.budget:
-                raise SolverBudgetExceeded(f"simplex exceeded {self.budget} pivots")
-            enter = -1
-            for j in range(width):  # Bland: smallest improving index
-                if self.red[j] > self.tol:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            leave = -1
-            best = None
-            for i in range(self.m):
-                coef = self.rows[i][enter]
-                if coef > self.tol:
-                    ratio = self.rows[i][-1] / coef
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded"
-            self._pivot(leave, enter)
-
-    def primal(self) -> list[Number]:
-        x = [_zero(self.mode)] * (self.n + self.m)
-        for i, col in enumerate(self.basis):
-            x[col] = self.rows[i][-1]
-        return x
-
-    def dual(self) -> list[Number]:
-        # y_i = cost(slack i) - reduced cost(slack i), and slacks cost zero
-        zero = _zero(self.mode)
-        return [zero - self.red[self.n + i] for i in range(self.m)]
-
-    def objective(self) -> Number:
-        x = self.primal()
-        return sum(self.cost[j] * x[j] for j in range(self.n))
+def _dot(vec: Sequence[Number], column: Sequence[tuple[int, Number]]) -> Number:
+    """vec . column for a sparse column; unit coefficients add with no product."""
+    total: Number = 0
+    for i, v in column:
+        total += vec[i] if v == 1 else vec[i] * v
+    return total
 
 
 def maximize_leq(
@@ -144,10 +69,72 @@ def maximize_leq(
     """
     if any(bi < 0 for bi in b):
         raise ValueError("maximize_leq requires b >= 0")
-    tab = _Tableau(a, b, c, mode, budget)
-    status = tab.solve()
-    if status != "optimal":
-        return LPResult("unbounded", None, None, None, tab.pivots)
-    x = tab.primal()[:len(c)]
-    return LPResult("optimal", x, tab.objective(), tab.dual(), tab.pivots)
-
+    if mode == "rational":
+        tol, zero, one = Fraction(0), Fraction(0), Fraction(1)
+    else:
+        tol, zero, one = FLOAT_TOL, 0.0, 1.0
+    m, n = len(a), len(c)
+    # each column of A once, as its nonzero (row, coefficient) pairs; with no
+    # rows every column is empty
+    columns = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*a)] or [[] for _ in c]
+    binv = [[one if k == i else zero for k in range(m)] for i in range(m)]
+    xb = list(b)
+    y = [zero] * m
+    basis = [n + i for i in range(m)]
+    basic = set(basis)
+    pivots = 0
+    while True:
+        if pivots > budget:
+            raise SolverBudgetExceeded(f"simplex exceeded {budget} pivots")
+        # Bland: the first nonbasic column with a positive reduced cost; a
+        # slack n + i costs nothing and has column e_i, so it prices as -y_i.
+        enter, red = -1, zero
+        for j in range(n):
+            if j not in basic:
+                red = c[j] - _dot(y, columns[j])
+                if red > tol:
+                    enter = j
+                    break
+        else:
+            for i in range(m):
+                if n + i not in basic and -y[i] > tol:
+                    enter, red = n + i, -y[i]
+                    break
+        if enter < 0:
+            break
+        if enter < n:
+            d = [_dot(row, columns[enter]) for row in binv]
+        else:
+            d = [row[enter - n] for row in binv]
+        leave, best = -1, None
+        for i in range(m):
+            if d[i] > tol:
+                ratio = xb[i] / d[i]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return LPResult("unbounded", None, None, None, pivots)
+        piv = d[leave]
+        prow = binv[leave] = [v / piv if v else v for v in binv[leave]]
+        xb[leave] = xb[leave] / piv
+        nonzero = [(k, v) for k, v in enumerate(prow) if v]
+        for i in range(m):
+            f = d[i]
+            if i != leave and f != 0:
+                row = binv[i]
+                for k, v in nonzero:
+                    row[k] -= f * v
+                xb[i] -= f * xb[leave]
+        # y = c_B . B^-1 moves by the entering reduced cost times the new pivot row
+        for k, v in nonzero:
+            y[k] += red * v
+        basic.discard(basis[leave])
+        basic.add(enter)
+        basis[leave] = enter
+        pivots += 1
+    x = [zero] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            x[col] = xb[i]
+    objective = sum(c[j] * x[j] for j in range(n))
+    return LPResult("optimal", x, objective, y, pivots)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's decision paths: global
 search is plain itertools enumeration, rational rank is a fresh Gaussian
-elimination, LP answers are checked through duality certificates, and a
-section's obstruction is re-decided by its own integer system.
+elimination, LP answers are checked through duality certificates and against
+a dense tableau, and a section's obstruction is re-decided by its own integer
+system.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import random
 from fractions import Fraction
 
 import sheafkit as sk
+from sheafkit import simplex
+from sheafkit.errors import SolverBudgetExceeded
 from sheafkit.intlinalg import ZMat, solve
 
 HALF = Fraction(1, 2)
@@ -123,6 +126,25 @@ def random_box_mixture(rng: random.Random) -> sk.EmpiricalModel:
             box = HALF if (s.outcomes[0] ^ s.outcomes[1]) == (i in odd) else Fraction(0)
             table[s.outcomes] = v * box + (1 - v) * q
         tables[ctx.members] = table
+    return sk.build_model(scenario, tables)
+
+
+def noisy_cycle_model(n: int, v: Fraction) -> sk.EmpiricalModel:
+    """v * (PR-like box) + (1 - v) * white noise on the n-cycle.
+
+    The box correlates every edge but the closing one, (x_{n-1}, x_0): the
+    model is contextual exactly when v exceeds the noncontextual bound.
+    """
+    scenario = sk.build_scenario(
+        [(f"x{i}", 2) for i in range(n)], [[f"x{i}", f"x{(i + 1) % n}"] for i in range(n)]
+    )
+    tables = {}
+    for i, ctx in enumerate(scenario.cover):
+        tables[ctx.members] = {
+            (x, y): (1 - v) / 4 + (v / 2 if (x ^ y) == (i == n - 1) else 0)
+            for x in (0, 1)
+            for y in (0, 1)
+        }
     return sk.build_model(scenario, tables)
 
 
@@ -273,3 +295,57 @@ def verify_global_distribution(model: sk.EmpiricalModel, result: sk.Noncontextua
     assert all(w >= 0 for w in x)
     for r in range(len(incidence.rows)):
         assert sum(incidence.entries[r][c] * x[c] for c in range(len(x))) == p[r]
+
+
+def dense_tableau_maximize(c, a, b, mode="rational", budget=simplex.PIVOT_BUDGET):
+    """max c.x s.t. A x <= b, x >= 0 on a dense tableau [A | I | b].
+
+    The textbook primal simplex with Bland's rule (first improving column,
+    ratio ties to the smallest basis index), rewriting every row and the
+    reduced-cost row at each pivot.  ``simplex.maximize_leq`` must take the
+    same pivots and return the same ``LPResult``.
+    """
+    if any(bi < 0 for bi in b):
+        raise ValueError("maximize_leq requires b >= 0")
+    tol = Fraction(0) if mode == "rational" else simplex.FLOAT_TOL
+    num = Fraction if mode == "rational" else float
+    zero, one = num(0), num(1)
+    m, n = len(a), len(c)
+    rows = [[num(v) for v in a[i]] + [one if k == i else zero for k in range(m)] + [b[i]]
+            for i in range(m)]
+    red = list(c) + [zero] * (m + 1)
+    basis = [n + i for i in range(m)]
+    pivots = 0
+    while True:
+        if pivots > budget:
+            raise SolverBudgetExceeded(f"simplex exceeded {budget} pivots")
+        enter = next((j for j in range(n + m) if red[j] > tol), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            coef = rows[i][enter]
+            if coef > tol:
+                ratio = rows[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return simplex.LPResult("unbounded", None, None, None, pivots)
+        piv = rows[leave][enter]
+        prow = rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                coef = rows[i][enter]
+                rows[i] = [v - coef * p for v, p in zip(rows[i], prow)]
+        coef = red[enter]
+        red = [r - coef * p for r, p in zip(red, prow)]
+        basis[leave] = enter
+        pivots += 1
+    x = [zero] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            x[col] = rows[i][-1]
+    objective = sum(c[j] * x[j] for j in range(n))
+    # y_i = cost(slack i) - reduced cost(slack i), and slacks cost zero
+    dual = [zero - red[n + i] for i in range(m)]
+    return simplex.LPResult("optimal", x, objective, dual, pivots)

@@ -49,6 +49,22 @@ def test_check_signalling_rejected(capsys):
     assert {v["discrepancy"] for v in report["results"]["violations"]} == {"1/2"}
 
 
+def test_check_tests_compatibility_once(monkeypatch, capsys):
+    calls = []
+    real = sk.gluing.check_compatibility
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(sk.gluing, "check_compatibility", counting)
+    monkeypatch.setattr(cli, "check_compatibility", counting)
+    for name, want in (("prbox", cli.EXIT_CONTEXTUAL), ("signalling", cli.EXIT_INVALID)):
+        calls.clear()
+        code, _, _ = run_json(["check", name, "--no-timings"], capsys)
+        assert code == want and len(calls) == 1
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(["check", "/does/not/exist.json"], capsys)
     assert code == cli.EXIT_INVALID

@@ -11,6 +11,8 @@ from helpers import (
     brute_force_extends,
     brute_force_globals,
     deterministic_model,
+    float_copy,
+    noisy_cycle_model,
     pr_box_model,
     random_box_mixture,
     random_global_model,
@@ -273,6 +275,26 @@ def test_fraction_zero_iff_noncontextual_random():
         verify_fraction_certificate(model, report)
 
 
+def test_float_fraction_agrees_with_rational_on_cycles():
+    # Rounding may steer Bland's rule to other pivots on degenerate models,
+    # but the float CF stays within 1e-9 of the exact one, with its verdict.
+    models = [
+        noisy_cycle_model(n, v)
+        for n in range(4, 9)
+        for v in (F(0), HALF, F(3, 4), F(9, 10), F(1))
+    ]
+    rng = random.Random(808)
+    models += [random_box_mixture(rng) for _ in range(12)]
+    verdicts = []
+    for model in models:
+        exact = sk.contextual_fraction(model)
+        approx = sk.contextual_fraction(sk.load_model(float_copy(model)))
+        assert abs(approx.contextual_fraction - float(exact.contextual_fraction)) <= 1e-9
+        assert approx.noncontextual == exact.noncontextual
+        verdicts.append(exact.noncontextual)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
 def test_hierarchy_on_compatible_models():
     rng = random.Random(31)
     models = [pr_box_model(), triangle_anticorrelated_model(), deterministic_model()]
@@ -307,8 +329,11 @@ def test_classify_rejects_incompatible():
     tables = {c.members: {o: quarter for o in [(0, 0), (0, 1), (1, 0), (1, 1)]} for c in sc.cover}
     tables[("a1", "b1")] = {(0, 0): F(1)}
     model = sk.build_model(sc, tables)
-    with pytest.raises(IncompatibleModel):
+    with pytest.raises(IncompatibleModel) as exc:
         sk.classify_contextuality(model)
+    # the exception carries the report that found the disagreement
+    assert exc.value.report == sk.check_compatibility(model)
+    assert not exc.value.report.ok and exc.value.report.violations
 
 
 def test_relabeling_invariance():
