@@ -13,7 +13,6 @@ from .cohomology import (
     CechInvariants,
     Cochain0,
     Cochain1,
-    Cochain2,
     CoboundaryMatrices,
     FreeAbelianSection,
     ObstructionReport,

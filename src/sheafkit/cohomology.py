@@ -95,13 +95,6 @@ class Cochain1:
     components: tuple[FreeAbelianSection, ...]
 
 
-@dataclass(frozen=True)
-class Cochain2:
-    """One free-abelian element per nerve triangle."""
-
-    components: tuple[FreeAbelianSection, ...]
-
-
 def coboundary0(cochain: Cochain0, nerve: Nerve) -> Cochain1:
     """Edge components s_j|overlap - s_i|overlap; zero iff the family glues."""
     if len(cochain.components) != len(nerve.vertices):

@@ -11,7 +11,9 @@ system with hbar_eff = sqrt(lambda) * hbar.  For lambda > 0 each step
 therefore evolves the complex field psi = sqrt(rho) exp(iS/hbar_eff) by the
 linear Strang split step of the Schroedinger equation with hbar_eff: no Q is
 computed, the step is unconditionally norm-conserving and second order, and
-at lambda = 1 it is exactly the linear split-step solver.  Only at
+at lambda = 1 it is exactly the linear split-step solver.  The field is kept
+in k-space across steps with every phase built once per run, so a step
+costs one FFT for free evolution and three with a potential.  Only at
 lambda = 0, where hbar_eff vanishes, does the step keep the field at the
 physical hbar and apply the effective potential V - Q[|psi|^2], whose Q
 cancels the dispersion of the kinetic substeps.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -175,11 +177,6 @@ def polar_compose(psi: np.ndarray, params: PhysicalParams) -> tuple[np.ndarray, 
     return rho, params.hbar * phase
 
 
-def phase_defined_mask(rho: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Cells where the phase of the polar form is meaningful."""
-    return np.asarray(rho) > params.rho_floor
-
-
 # ---------------------------------------------------------------------------
 # Quantum potential.
 
@@ -228,20 +225,52 @@ def _field_params(params: PhysicalParams) -> PhysicalParams:
     return replace(params, hbar=math.sqrt(params.lam) * params.hbar)
 
 
-def _advance_field(psi: np.ndarray, dt: float, params: PhysicalParams, grid: Grid) -> np.ndarray:
-    """One Strang step (half kinetic, potential, half kinetic) of the field.
+def _advance_field(
+    psi: np.ndarray, dt: float, params: PhysicalParams, grid: Grid, half: np.ndarray
+) -> np.ndarray:
+    """One lam = 0 Strang step (half kinetic, potential, half kinetic) of the field.
+
+    ``half`` is the half-step kinetic phase exp(-i hbar k^2 dt / 4m), built
+    once by the caller.  The potential substep uses V - Q[|psi|^2] at the
+    midpoint density, so the field returns to position space within each
+    step: six FFTs per step, two of them for Q.
+    """
+    psi = np.fft.ifft(half * np.fft.fft(psi))
+    v_eff = params.potential - quantum_potential(np.abs(psi) ** 2, grid, params)
+    psi = psi * np.exp(-1j * v_eff * dt / params.hbar)
+    return np.fft.ifft(half * np.fft.fft(psi))
+
+
+def _fields(
+    psi: np.ndarray, dt: float, params: PhysicalParams, grid: Grid
+) -> Iterator[np.ndarray]:
+    """Yield the field after each successive step of size dt, without end.
 
     ``params`` come from ``_field_params``, so their hbar is the field's.
-    For lam > 0 the step is linear; at lam = 0 the potential substep uses
-    V - Q[|psi|^2] at the midpoint density.
+    Every phase is built once, on the first step.  For lam > 0 the field is
+    kept as its spectrum psi_hat across steps, so the Strang product
+    K/2 P K/2 never takes the ifft/fft pair between one step's closing half
+    kinetic phase and the next step's opening one: a free step is
+    psi_hat <- full * psi_hat with full = half**2, and with a potential
+    psi_hat <- half * fft(kick * ifft(half * psi_hat)).  One inverse FFT
+    per step then gives the yielded field, so a step costs one FFT free and
+    three with a potential (plus one FFT into k-space at the start).
     """
-    kinetic_half = np.exp(-1j * params.hbar * grid.k**2 * dt / (4.0 * params.mass))
-    psi = np.fft.ifft(kinetic_half * np.fft.fft(psi))
-    v_eff = params.potential
+    half = np.exp(-1j * params.hbar * grid.k**2 * dt / (4.0 * params.mass))
     if params.lam == 0.0:
-        v_eff = v_eff - quantum_potential(np.abs(psi) ** 2, grid, params)
-    psi = psi * np.exp(-1j * v_eff * dt / params.hbar)
-    return np.fft.ifft(kinetic_half * np.fft.fft(psi))
+        while True:
+            psi = _advance_field(psi, dt, params, grid, half)
+            yield psi
+    psi_hat = np.fft.fft(psi)
+    if not params.potential.any():
+        full = half * half
+        while True:
+            psi_hat = full * psi_hat
+            yield np.fft.ifft(psi_hat)
+    kick = np.exp(-1j * params.potential * dt / params.hbar)
+    while True:
+        psi_hat = half * np.fft.fft(kick * np.fft.ifft(half * psi_hat))
+        yield np.fft.ifft(psi_hat)
 
 
 def check_timestep(dt: float, grid: Grid, params: PhysicalParams) -> None:
@@ -277,13 +306,18 @@ def _check_state(state: LambdaState, grid: Grid) -> None:
 
 
 def step(state: LambdaState, dt: float, params: PhysicalParams, grid: Grid) -> LambdaState:
-    """Advance (rho, S) by one dt; S stays the physical action at every lam."""
+    """Advance (rho, S) by one dt; S stays the physical action at every lam.
+
+    The step is the first step of ``evolve``'s loop: for lam > 0 the field
+    goes to k-space, takes one linear step there and comes back (two FFTs
+    free, four with a potential).
+    """
     check_timestep(dt, grid, params)
     _check_state(state, grid)
     field = _field_params(params)
     psi = polar_decompose(state.rho, state.s, field)
     baseline = _coarse_subfloor(state.rho, params.rho_floor)
-    psi = _advance_field(psi, dt, field, grid)
+    psi = next(_fields(psi, dt, field, grid))
     rho, s = polar_compose(psi, field)
     _collapse_guard(baseline, rho, params.rho_floor, params.collapse_fraction)
     return LambdaState(rho, s, state.time + dt)
@@ -352,8 +386,11 @@ def evolve(
     The field psi = sqrt(rho) exp(iS/hbar_eff) is kept in complex form
     across steps (no per-step polar round-trip), so runs are deterministic
     given inputs; for lam > 0 it follows the linear Schroedinger equation
-    with hbar_eff = sqrt(lam) * hbar (see the module docstring).  Returns
-    the records and, when ``collect_frames``, the density frames alongside.
+    with hbar_eff = sqrt(lam) * hbar (see the module docstring) and is
+    carried as its spectrum, so a step costs one FFT free and three with a
+    potential.  The collapse guard checks the density after every step.
+    Returns the records and, when ``collect_frames``, the density frames
+    alongside.
     """
     check_timestep(dt, grid, params)
     _check_state(initial, grid)
@@ -370,8 +407,7 @@ def evolve(
     ]
     frames = [rho.copy()] if collect_frames else []
     baseline = _coarse_subfloor(rho, params.rho_floor)
-    for i in range(1, n_steps + 1):
-        psi = _advance_field(psi, dt, field, grid)
+    for i, psi in zip(range(1, n_steps + 1), _fields(psi, dt, field, grid)):
         rho = np.abs(psi) ** 2
         _collapse_guard(baseline, rho, params.rho_floor, params.collapse_fraction)
         if i % record_every == 0 or i == n_steps:

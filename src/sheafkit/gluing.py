@@ -49,9 +49,6 @@ class GlobalAssignment:
     members: tuple[str, ...]
     outcomes: tuple[int, ...]
 
-    def value_of(self, obs_id: str) -> int:
-        return self.outcomes[self.members.index(obs_id)]
-
     def restrict(self, context: Context) -> LocalSection:
         by_id = dict(zip(self.members, self.outcomes))
         return LocalSection(context.members, tuple(by_id[m] for m in context.members))
@@ -284,7 +281,8 @@ class FractionReport:
     whether the mass of p that the weights leave unexplained,
     sum(p - incidence . x) = sum(p) - k * NCF for k cover contexts, is zero
     (exactly in rational mode, at most ``simplex.FLOAT_TOL`` in float mode).
-    For tables that sum to 1 this is NCF = 1.
+    For tables that sum to 1 this is NCF = 1.  In float mode NCF is capped
+    at 1, so CF >= 0, and weights at most ``simplex.FLOAT_TOL`` read 0.
     """
 
     noncontextual_fraction: Number
@@ -308,12 +306,17 @@ def contextual_fraction(
     c = [one] * len(incidence.columns)
     result = simplex.maximize_leq(c, incidence.entries, p, model.mode, budget)
     assert result.status == "optimal" and result.x is not None and result.dual is not None
-    ncf = result.objective
+    ncf, weights = result.objective, result.x
     # every incidence column has k ones, so sum(incidence . x) = k * NCF
     unexplained = sum(p) - len(model.scenario.cover) * ncf
     tol = 0 if model.mode == "rational" else simplex.FLOAT_TOL
-    return FractionReport(ncf, one - ncf, incidence, tuple(result.x), tuple(result.dual),
-                          unexplained <= tol)
+    noncontextual = unexplained <= tol
+    if model.mode != "rational":
+        # below the tolerance the sign of CF and the weights is round-off
+        ncf = min(ncf, 1.0)
+        weights = [0.0 if w <= tol else w for w in weights]
+    return FractionReport(ncf, one - ncf, incidence, tuple(weights), tuple(result.dual),
+                          noncontextual)
 
 
 def classify_contextuality(

@@ -56,12 +56,6 @@ class LocalSection:
         if len(self.members) != len(self.outcomes):
             raise InvalidModel("section members/outcomes length mismatch")
 
-    def value_of(self, obs_id: str) -> int:
-        try:
-            return self.outcomes[self.members.index(obs_id)]
-        except ValueError:
-            raise KeyError(obs_id) from None
-
     def as_dict(self) -> dict[str, int]:
         return dict(zip(self.members, self.outcomes))
 

@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the library's decision paths: global
 search is plain itertools enumeration, rational rank is a fresh Gaussian
 elimination, LP answers are checked through duality certificates and against
-a dense tableau, and a section's obstruction is re-decided by its own integer
-system.
+a dense tableau, a section's obstruction is re-decided by its own integer
+system, and the dynamics is re-run by the plain four-FFT split step.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import sheafkit as sk
-from sheafkit import simplex
+from sheafkit import dynamics, simplex
 from sheafkit.errors import SolverBudgetExceeded
 from sheafkit.intlinalg import ZMat, solve
 
@@ -349,3 +351,49 @@ def dense_tableau_maximize(c, a, b, mode="rational", budget=simplex.PIVOT_BUDGET
     # y_i = cost(slack i) - reduced cost(slack i), and slacks cost zero
     dual = [zero - red[n + i] for i in range(m)]
     return simplex.LPResult("optimal", x, objective, dual, pivots)
+
+
+# ---------------------------------------------------------------------------
+# Dynamics: the position-space split step.
+
+
+def reference_advance_field(psi, dt, params, grid):
+    """One Strang step fft -> K/2 -> ifft -> P -> fft -> K/2 -> ifft.
+
+    The kinetic phase is rebuilt on every call and the field returns to
+    position space twice per step; at lam = 0 the potential is V - Q.
+    ``params`` carry the field's hbar (``dynamics._field_params``).
+    """
+    kinetic_half = np.exp(-1j * params.hbar * grid.k**2 * dt / (4.0 * params.mass))
+    psi = np.fft.ifft(kinetic_half * np.fft.fft(psi))
+    v_eff = params.potential
+    if params.lam == 0.0:
+        v_eff = v_eff - sk.quantum_potential(np.abs(psi) ** 2, grid, params)
+    psi = psi * np.exp(-1j * v_eff * dt / params.hbar)
+    return np.fft.ifft(kinetic_half * np.fft.fft(psi))
+
+
+def reference_step(state, dt, params, grid):
+    """``dynamics.step`` on ``reference_advance_field``, without its checks."""
+    field = dynamics._field_params(params)
+    psi = sk.polar_decompose(state.rho, state.s, field)
+    rho, s = sk.polar_compose(reference_advance_field(psi, dt, field, grid), field)
+    return sk.LambdaState(rho, s, state.time + dt)
+
+
+def reference_evolve(initial, params, grid, t_final, dt, record_every=1):
+    """``dynamics.evolve`` on ``reference_advance_field``: records and frames."""
+    field = dynamics._field_params(params)
+    psi = sk.polar_decompose(initial.rho, initial.s, field)
+    rho = np.abs(psi) ** 2
+    records, frames = [sk.compute_observables(rho, grid, initial.time)], [rho.copy()]
+    baseline = dynamics._coarse_subfloor(rho, params.rho_floor)
+    n_steps = int(round(t_final / dt))
+    for i in range(1, n_steps + 1):
+        psi = reference_advance_field(psi, dt, field, grid)
+        rho = np.abs(psi) ** 2
+        dynamics._collapse_guard(baseline, rho, params.rho_floor, params.collapse_fraction)
+        if i % record_every == 0 or i == n_steps:
+            records.append(sk.compute_observables(rho, grid, initial.time + i * dt))
+            frames.append(rho.copy())
+    return records, frames

@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 import sheafkit as sk
 from sheafkit import dynamics
-from sheafkit.errors import NonMonotoneMap, StabilityViolation
+from sheafkit.errors import DensityCollapse, NonMonotoneMap, StabilityViolation
+from helpers import reference_evolve, reference_step
 
 
 def make_grid(n=512, length=16.0):
@@ -90,14 +93,6 @@ def test_polar_round_trip():
     # S is defined modulo 2 pi hbar: compare after removing a global shift
     shift = np.round((s2 - s)[0] / (2 * np.pi * p.hbar)) * 2 * np.pi * p.hbar
     assert np.max(np.abs(s2 - s - shift)) < 1e-10
-
-
-def test_phase_mask():
-    g = make_grid()
-    p = sk.physical_params(g)
-    rho = dynamics.gaussian_density(g, 0.0, 0.3)
-    mask = dynamics.phase_defined_mask(rho, p)
-    assert mask.any() and not mask.all()
 
 
 # --- quantum potential -----------------------------------------------------------
@@ -250,6 +245,87 @@ def test_step_loop_matches_evolve():
                               collect_frames=True)
         assert np.max(np.abs(cur.rho - frames[-1])) < 1e-9
         assert cur.time == pytest.approx(50 * dt)
+
+
+@pytest.mark.parametrize("potential", ["free", "harmonic"])
+def test_kspace_loop_matches_position_space_reference(potential):
+    # carrying the spectrum with merged half-kinetic phases is the same Strang
+    # product as the four-FFT step, so lam > 0 agrees to round-off; lam = 0
+    # keeps the reference's arithmetic exactly
+    g = make_grid()
+    pot = dynamics.harmonic_potential(g, 2.0) if potential == "harmonic" else None
+    dt, n = 1.5e-4, 300
+    for lam in (0.0, 0.3, 0.5, 1.0):
+        p = sk.physical_params(g, lam=lam, potential=pot)
+        for st in (
+            dynamics.gaussian_state(g, p, 0.5, 0.4, momentum=0.8),
+            dynamics.two_gaussian_state(g, p, separation=3.0, sigma0=0.4, momentum=2.0),
+        ):
+            recs, frames = sk.evolve(st, p, g, t_final=n * dt, dt=dt, record_every=100,
+                                     collect_frames=True)
+            ref_recs, ref_frames = reference_evolve(st, p, g, n * dt, dt, record_every=100)
+            got, want = ([astuple(r) for r in rs] for rs in (recs, ref_recs))
+            if lam == 0.0:
+                assert np.array_equal(frames, ref_frames)
+                assert np.array_equal(got, want)
+                cur = ref = st
+                for _ in range(50):
+                    cur, ref = sk.step(cur, dt, p, g), reference_step(ref, dt, p, g)
+                assert np.array_equal(cur.rho, ref.rho) and np.array_equal(cur.s, ref.s)
+            else:
+                assert np.max(np.abs(np.subtract(frames, ref_frames))) < 1e-11
+                assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+
+
+@pytest.mark.parametrize("lam, first", [(1.0, 1000), (0.5, 1772)])
+def test_collapse_guard_checks_every_step(lam, first):
+    # a spread packet with its phase reversed refocuses toward sigma0 = 0.15
+    # at step 2000 and voids most of the grid; evolve must raise at the first
+    # step whose density newly floors more than collapse_fraction of the grid,
+    # also when it records only the final step, whose density by step 4000 is
+    # as spread as the baseline again
+    g = make_grid()
+    p = sk.physical_params(g, lam=lam)
+    dt = 1.5e-4
+    st = dynamics.gaussian_state(g, p, 0.0, 0.15)
+    for _ in range(2000):
+        st = sk.step(st, dt, p, g)
+    st = dynamics.LambdaState(st.rho, -st.s)
+    sk.evolve(st, p, g, t_final=(first - 1) * dt, dt=dt, record_every=10**9)
+    for n in (first, 4000):
+        with pytest.raises(DensityCollapse):
+            sk.evolve(st, p, g, t_final=n * dt, dt=dt, record_every=10**9)
+
+
+def test_fft_calls_per_step(monkeypatch):
+    # lam > 0 keeps the spectrum across steps: one inverse FFT per free step,
+    # three FFTs with a kick, plus one forward FFT per run; lam = 0 makes six
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
+            calls.append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    g = make_grid()
+    harmonic = dynamics.harmonic_potential(g, 2.0)
+    n, dt = 40, 1.5e-4
+    for lam, pot, per_evolve, per_step in (
+        (1.0, None, n + 1, 2),
+        (0.5, None, n + 1, 2),
+        (1.0, harmonic, 3 * n + 1, 4),
+        (0.5, harmonic, 3 * n + 1, 4),
+        (0.0, None, 6 * n, 6),
+        (0.0, harmonic, 6 * n, 6),
+    ):
+        p = sk.physical_params(g, lam=lam, potential=pot)
+        st = dynamics.gaussian_state(g, p, 0.0, 0.5)
+        calls.clear()
+        sk.evolve(st, p, g, t_final=n * dt, dt=dt)
+        assert len(calls) == per_evolve
+        calls.clear()
+        sk.step(st, dt, p, g)
+        assert len(calls) == per_step
 
 
 def test_initial_state_independent_of_lambda():

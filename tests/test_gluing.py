@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import sheafkit as sk
+from sheafkit import simplex
 from sheafkit.errors import IncompatibleModel, SizeLimitExceeded
 from helpers import (
     HALF,
@@ -277,7 +278,9 @@ def test_fraction_zero_iff_noncontextual_random():
 
 def test_float_fraction_agrees_with_rational_on_cycles():
     # Rounding may steer Bland's rule to other pivots on degenerate models,
-    # but the float CF stays within 1e-9 of the exact one, with its verdict.
+    # but the float CF stays within 1e-9 of the exact one, with its verdict,
+    # which check (classify_contextuality) shares.  Round-off below the
+    # tolerance reads as zero: no negative CF, no weight <= FLOAT_TOL.
     models = [
         noisy_cycle_model(n, v)
         for n in range(4, 9)
@@ -288,9 +291,13 @@ def test_float_fraction_agrees_with_rational_on_cycles():
     verdicts = []
     for model in models:
         exact = sk.contextual_fraction(model)
-        approx = sk.contextual_fraction(sk.load_model(float_copy(model)))
+        approx_model = sk.load_model(float_copy(model))
+        approx = sk.contextual_fraction(approx_model)
         assert abs(approx.contextual_fraction - float(exact.contextual_fraction)) <= 1e-9
         assert approx.noncontextual == exact.noncontextual
+        assert approx.noncontextual == sk.classify_contextuality(approx_model).noncontextual
+        assert approx.contextual_fraction >= 0
+        assert all(w == 0 or w > simplex.FLOAT_TOL for w in approx.weights)
         verdicts.append(exact.noncontextual)
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
