@@ -12,18 +12,15 @@ module integrates the lambda-interpolated wave/classical equations.
 from .cohomology import (
     CechInvariants,
     Cochain0,
-    Cochain1,
     CoboundaryMatrices,
     FreeAbelianSection,
     ObstructionReport,
     SectionObstruction,
     build_coboundary_matrices,
     cech_invariants,
-    coboundary0,
     fa_section,
     obstruction,
     obstruction_report,
-    zf_restrict,
 )
 from .ctxlogic import (
     Atom,
@@ -41,23 +38,6 @@ from .ctxlogic import (
     parse_proposition,
     profile,
     seven_value_of,
-)
-from .dynamics import (
-    Grid,
-    LambdaState,
-    Observables,
-    PhysicalParams,
-    compute_observables,
-    evolve,
-    gaussian_state,
-    harmonic_potential,
-    lambda_from_sigma,
-    physical_params,
-    polar_compose,
-    polar_decompose,
-    quantum_potential,
-    step,
-    two_gaussian_state,
 )
 from .errors import (
     DensityCollapse,
@@ -110,14 +90,44 @@ from .presheaf import (
 )
 from .scenario import (
     Context,
-    ContextPoset,
     MeasurementScenario,
     Nerve,
     Observable,
-    build_context_poset,
     build_nerve,
     build_scenario,
     load_scenario,
 )
 
 __version__ = "0.1.0"
+
+# The dynamics pulls in numpy, which the combinatorial layers never need, so
+# its names are imported on first access (PEP 562) rather than with the package.
+_DYNAMICS_EXPORTS = frozenset({
+    "Grid",
+    "LambdaState",
+    "Observables",
+    "PhysicalParams",
+    "compute_observables",
+    "evolve",
+    "gaussian_state",
+    "harmonic_potential",
+    "lambda_from_sigma",
+    "physical_params",
+    "polar_compose",
+    "polar_decompose",
+    "quantum_potential",
+    "step",
+    "two_gaussian_state",
+})
+
+
+def __getattr__(name: str):
+    if name in _DYNAMICS_EXPORTS:
+        from . import dynamics
+
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _DYNAMICS_EXPORTS)

@@ -22,15 +22,21 @@ import time
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, dynamics
+from . import __version__
 from .cohomology import obstruction_report
 from .ctxlogic import parse_proposition, proposition_to_str, seven_value_of
 from .errors import IncompatibleModel, SheafkitError
 from .gluing import classify_contextuality, contextual_fraction
 from .presheaf import EmpiricalModel, check_compatibility, model_from_dict, support_of
+
+# numpy and the dynamics load only when `evolve` or a frame dump needs them,
+# so the combinatorial subcommands start without them.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dynamics import Grid, LambdaState
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -265,7 +271,9 @@ def cmd_logic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_initial(spec: str, grid: dynamics.Grid, params) -> dynamics.LambdaState:
+def _parse_initial(spec: str, grid: Grid, params) -> LambdaState:
+    from . import dynamics
+
     kind, _, rest = spec.partition(":")
     fields = [float(v) for v in rest.split(",")] if rest else []
     if kind == "gaussian":
@@ -283,7 +291,11 @@ def _parse_initial(spec: str, grid: dynamics.Grid, params) -> dynamics.LambdaSta
     )
 
 
-def _parse_potential(spec: str, grid: dynamics.Grid) -> np.ndarray | None:
+def _parse_potential(spec: str, grid: Grid) -> np.ndarray | None:
+    import numpy as np
+
+    from . import dynamics
+
     if spec == "free":
         return None
     if spec.startswith("harmonic:"):
@@ -297,6 +309,8 @@ def _parse_potential(spec: str, grid: dynamics.Grid) -> np.ndarray | None:
 
 def write_frame_dump(path: str | Path, frames: list[np.ndarray]) -> None:
     """Binary frame file: 16-byte header (magic, version, n_points, count)."""
+    import numpy as np
+
     n_points = len(frames[0]) if frames else 0
     header = struct.pack("<4sIII", FRAME_MAGIC, FRAME_VERSION, n_points, len(frames))
     with open(path, "wb") as fh:
@@ -306,6 +320,8 @@ def write_frame_dump(path: str | Path, frames: list[np.ndarray]) -> None:
 
 
 def read_frame_dump(path: str | Path) -> list[np.ndarray]:
+    import numpy as np
+
     raw = Path(path).read_bytes()
     magic, version, n_points, count = struct.unpack("<4sIII", raw[:16])
     if magic != FRAME_MAGIC:
@@ -315,6 +331,8 @@ def read_frame_dump(path: str | Path) -> list[np.ndarray]:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    from . import dynamics
+
     started = time.perf_counter()
     grid = dynamics.Grid(args.grid_n, args.length)
     potential = _parse_potential(args.potential, grid)

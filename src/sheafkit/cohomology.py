@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import SizeLimitExceeded
 from .intlinalg import SmithForm, ZMat, kernel_basis, quotient_invariants, smith_normal_form
@@ -58,56 +58,11 @@ def fa_section(context: Context, coefficients: Mapping[LocalSection, int]) -> Fr
     return FreeAbelianSection(context, {s: c for s, c in coefficients.items() if c != 0})
 
 
-def fa_sub(a: FreeAbelianSection, b: FreeAbelianSection) -> FreeAbelianSection:
-    if a.context != b.context:
-        raise ValueError("cannot combine group elements over different contexts")
-    out = dict(a.coefficients)
-    for s, c in b.coefficients.items():
-        out[s] = out.get(s, 0) - c
-    return fa_section(a.context, out)
-
-
-def zf_restrict(element: FreeAbelianSection, subcontext: Context | Iterable[str]) -> FreeAbelianSection:
-    """Linear extension of section restriction.
-
-    Sections that restrict to the same sub-section pool their coefficients,
-    so cancellation is possible.
-    """
-    target = subcontext if isinstance(subcontext, Context) else Context(tuple(subcontext))
-    out: dict[LocalSection, int] = {}
-    for sec, coef in element.coefficients.items():
-        sub = restrict(sec, target)
-        out[sub] = out.get(sub, 0) + coef
-    return fa_section(target, out)
-
-
 @dataclass(frozen=True)
 class Cochain0:
     """One free-abelian element per nerve vertex."""
 
     components: tuple[FreeAbelianSection, ...]
-
-
-@dataclass(frozen=True)
-class Cochain1:
-    """One free-abelian element per nerve edge."""
-
-    components: tuple[FreeAbelianSection, ...]
-
-
-def coboundary0(cochain: Cochain0, nerve: Nerve) -> Cochain1:
-    """Edge components s_j|overlap - s_i|overlap; zero iff the family glues."""
-    if len(cochain.components) != len(nerve.vertices):
-        raise ValueError("cochain is not indexed by the nerve's vertices")
-    for comp, ctx in zip(cochain.components, nerve.vertices):
-        if comp.context != ctx:
-            raise ValueError(f"component context {comp.context.label()} != {ctx.label()}")
-    parts = []
-    for edge in nerve.edges:
-        si = zf_restrict(cochain.components[edge.i], edge.context)
-        sj = zf_restrict(cochain.components[edge.j], edge.context)
-        parts.append(fa_sub(sj, si))
-    return Cochain1(tuple(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 A scenario is a finite set of observables together with a cover of maximal
 contexts (jointly measurable subsets).  Everything downstream lives over this
-base: the nerve (pairwise and triple overlaps) carries the cochain complex,
-and the inclusion poset carries restriction arrows.
+base: the nerve (pairwise and triple overlaps) carries the cochain complex.
 """
 
 from __future__ import annotations
@@ -20,12 +19,8 @@ from .errors import (
     EmptyCover,
     InvalidScenario,
     ParseError,
-    SizeLimitExceeded,
     UnknownObservable,
 )
-
-#: Default ceiling on the number of poset elements materialized.
-POSET_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -144,19 +139,6 @@ class Nerve:
     triangles: tuple[NerveTriangle, ...]
 
 
-@dataclass(frozen=True)
-class ContextPoset:
-    """Downward closure of the cover under inclusion.
-
-    ``arrows`` lists the proper inclusions as (larger, smaller) pairs, i.e.
-    one refinement arrow V -> U per strict inclusion U < V; identity arrows
-    are left implicit.
-    """
-
-    elements: tuple[Context, ...]
-    arrows: tuple[tuple[Context, Context], ...]
-
-
 def build_scenario(
     observables: Iterable[Observable | tuple[str, int]],
     cover: Iterable[Iterable[str]],
@@ -203,32 +185,6 @@ def build_nerve(scenario: MeasurementScenario) -> Nerve:
         if inter.members:
             triangles.append(NerveTriangle(i, j, k, inter))
     return Nerve(tuple(cover), tuple(edges), tuple(triangles))
-
-
-def build_context_poset(scenario: MeasurementScenario, limit: int = POSET_LIMIT) -> ContextPoset:
-    """All non-empty subsets of cover contexts, ordered by inclusion."""
-    subsets: set[tuple[str, ...]] = set()
-    for c in scenario.cover:
-        members = c.members
-        for r in range(1, len(members) + 1):
-            for sub in itertools.combinations(members, r):
-                subsets.add(sub)
-                if len(subsets) > limit:
-                    raise SizeLimitExceeded(
-                        f"context poset exceeds {limit} elements"
-                    )
-    elements = sorted(
-        (Context(s) for s in subsets),
-        key=lambda c: (len(c.members), tuple(scenario.index(m) for m in c.members)),
-    )
-    if len(elements) ** 2 > limit:
-        raise SizeLimitExceeded(f"context poset arrow count exceeds {limit}")
-    arrows = []
-    for big in elements:
-        for small in elements:
-            if small is not big and small.is_subset_of(big) and len(small) < len(big):
-                arrows.append((big, small))
-    return ContextPoset(tuple(elements), tuple(arrows))
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,23 @@ The oracles here deliberately avoid the library's decision paths: global
 search is plain itertools enumeration, rational rank is a fresh Gaussian
 elimination, LP answers are checked through duality certificates and against
 a dense tableau, a section's obstruction is re-decided by its own integer
-system, and the dynamics is re-run by the plain four-FFT split step.
+system, the degree-0 coboundary is taken section by section through
+restriction, and the dynamics is re-run by the plain four-FFT split step.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
 import sheafkit as sk
 from sheafkit import dynamics, simplex
+from sheafkit.cohomology import Cochain0, FreeAbelianSection, fa_section
 from sheafkit.errors import SolverBudgetExceeded
 from sheafkit.intlinalg import ZMat, solve
 
@@ -230,6 +234,52 @@ def free_column_vanishes(matrices, context_index: int, section: sk.LocalSection)
     free = [c for c, (vi, _) in enumerate(matrices.vertex_basis) if vi != context_index]
     a = ZMat(d0.m, len(free), [[row[c] for c in free] for row in d0.a])
     return solve(a, [-row[fixed] for row in d0.a]) is not None
+
+
+def fa_sub(a: FreeAbelianSection, b: FreeAbelianSection) -> FreeAbelianSection:
+    if a.context != b.context:
+        raise ValueError("cannot combine group elements over different contexts")
+    out = dict(a.coefficients)
+    for s, c in b.coefficients.items():
+        out[s] = out.get(s, 0) - c
+    return fa_section(a.context, out)
+
+
+def zf_restrict(element: FreeAbelianSection,
+                subcontext: sk.Context | Iterable[str]) -> FreeAbelianSection:
+    """Linear extension of section restriction.
+
+    Sections that restrict to the same sub-section pool their coefficients,
+    so cancellation is possible.
+    """
+    target = subcontext if isinstance(subcontext, sk.Context) else sk.Context(tuple(subcontext))
+    out: dict[sk.LocalSection, int] = {}
+    for sec, coef in element.coefficients.items():
+        sub = sk.restrict(sec, target)
+        out[sub] = out.get(sub, 0) + coef
+    return fa_section(target, out)
+
+
+@dataclass(frozen=True)
+class Cochain1:
+    """One free-abelian element per nerve edge."""
+
+    components: tuple[FreeAbelianSection, ...]
+
+
+def coboundary0(cochain: Cochain0, nerve: sk.Nerve) -> Cochain1:
+    """Edge components s_j|overlap - s_i|overlap; zero iff the family glues."""
+    if len(cochain.components) != len(nerve.vertices):
+        raise ValueError("cochain is not indexed by the nerve's vertices")
+    for comp, ctx in zip(cochain.components, nerve.vertices):
+        if comp.context != ctx:
+            raise ValueError(f"component context {comp.context.label()} != {ctx.label()}")
+    parts = []
+    for edge in nerve.edges:
+        si = zf_restrict(cochain.components[edge.i], edge.context)
+        sj = zf_restrict(cochain.components[edge.j], edge.context)
+        parts.append(fa_sub(sj, si))
+    return Cochain1(tuple(parts))
 
 
 def q_rank(rows: list[list[Fraction]]) -> int:

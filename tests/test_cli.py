@@ -367,6 +367,48 @@ def test_console_entry_point_runs():
     assert "sheafkit" in proc.stdout
 
 
+def _run_python(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_combinatorial_subcommands_never_import_numpy():
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "import sheafkit.cli as cli\n"
+        "for argv in (['check', 'prbox'], ['fraction', 'prbox'], ['cohomology', 'prbox'],\n"
+        "             ['logic', 'prbox', '--prop', 'a1=0']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--no-timings']) in (cli.EXIT_OK, cli.EXIT_CONTEXTUAL)\n"
+        "print(sorted(m for m in ('numpy', 'sheafkit.dynamics') if m in sys.modules))\n"
+    )
+    assert out.strip() == "[]"
+
+
+DYNAMICS_EXPORTS = (
+    "Grid", "LambdaState", "Observables", "PhysicalParams", "compute_observables", "evolve",
+    "gaussian_state", "harmonic_potential", "lambda_from_sigma", "physical_params",
+    "polar_compose", "polar_decompose", "quantum_potential", "step", "two_gaussian_state",
+)
+
+
+def test_dynamics_exports_load_on_first_access():
+    out = _run_python(
+        "import sheafkit\n"
+        "assert sheafkit.evolve is sheafkit.dynamics.evolve\n"
+        f"names = {DYNAMICS_EXPORTS!r}\n"
+        "for name in names:\n"
+        "    assert getattr(sheafkit, name) is getattr(sheafkit.dynamics, name), name\n"
+        "    assert name in dir(sheafkit), name\n"
+        "try:\n"
+        "    sheafkit.no_such_name\n"
+        "except AttributeError:\n"
+        "    print(len(names))\n"
+    )
+    assert out.strip() == "15"
+
+
 def test_timings_present_by_default(capsys):
     code, report, _ = run_json(["check", "deterministic"], capsys)
     assert "timings" in report and report["timings"]["total_s"] >= 0

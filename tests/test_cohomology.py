@@ -8,16 +8,15 @@ from sheafkit.cohomology import (
     Cochain0,
     build_coboundary_matrices,
     cech_invariants,
-    coboundary0,
     fa_section,
     obstruction,
     obstruction_report,
-    zf_restrict,
 )
 from helpers import (
     HALF,
     bell_scenario,
     brute_force_extends,
+    coboundary0,
     deterministic_model,
     free_column_vanishes,
     pr_box_model,
@@ -27,6 +26,7 @@ from helpers import (
     random_support_model,
     triangle_anticorrelated_model,
     triangle_scenario,
+    zf_restrict,
 )
 
 F = Fraction

@@ -9,7 +9,6 @@ from sheafkit.errors import (
     EmptyCover,
     InvalidScenario,
     ParseError,
-    SizeLimitExceeded,
     UnknownObservable,
 )
 from helpers import bell_scenario, triangle_scenario
@@ -110,36 +109,6 @@ def test_nerve_edges_equal_pairwise_intersections():
             assert by_pair[(i, j)].members == inter.members
         else:
             assert (i, j) not in by_pair
-
-
-def test_poset_single_context():
-    poset = sk.build_context_poset(sk.build_scenario([("a", 2), ("b", 2)], [["a", "b"]]))
-    assert len(poset.elements) == 3
-    assert len(poset.arrows) == 2
-
-
-def test_poset_triangle_and_bell_counts():
-    assert len(sk.build_context_poset(triangle_scenario()).elements) == 6
-    assert len(sk.build_context_poset(bell_scenario()).elements) == 8
-
-
-def test_poset_arrows_are_exactly_strict_inclusions():
-    poset = sk.build_context_poset(triangle_scenario())
-    strict = [
-        (big, small)
-        for big in poset.elements
-        for small in poset.elements
-        if set(small.members) < set(big.members)
-    ]
-    assert sorted(poset.arrows, key=str) == sorted(strict, key=str)
-
-
-def test_poset_size_limit():
-    sc = sk.build_scenario(
-        [(f"o{i}", 2) for i in range(12)], [[f"o{i}" for i in range(12)]]
-    )
-    with pytest.raises(SizeLimitExceeded):
-        sk.build_context_poset(sc, limit=100)
 
 
 def test_scenario_json_roundtrip(tmp_path):
