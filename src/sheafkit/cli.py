@@ -25,11 +25,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .cohomology import obstruction_report
+from .cohomology import MATRIX_LIMIT, obstruction_report
 from .ctxlogic import parse_proposition, proposition_to_str, seven_value_of
 from .errors import IncompatibleModel, SheafkitError
-from .gluing import classify_contextuality, contextual_fraction
+from .gluing import GLOBAL_LIMIT, NODE_BUDGET, classify_contextuality, contextual_fraction
 from .presheaf import EmpiricalModel, check_compatibility, model_from_dict, support_of
+from .simplex import PIVOT_BUDGET
 
 # numpy and the dynamics load only when `evolve` or a frame dump needs them,
 # so the combinatorial subcommands start without them.
@@ -423,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed recorded in the report for reproducibility")
     common.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock timings (byte-identical reruns)")
-    common.add_argument("--budget-globals", type=int, default=2**24)
-    common.add_argument("--budget-nodes", type=int, default=10**8)
-    common.add_argument("--budget-pivots", type=int, default=10**6)
-    common.add_argument("--budget-matrix", type=int, default=10**8)
+    common.add_argument("--budget-globals", type=int, default=GLOBAL_LIMIT)
+    common.add_argument("--budget-nodes", type=int, default=NODE_BUDGET)
+    common.add_argument("--budget-pivots", type=int, default=PIVOT_BUDGET)
+    common.add_argument("--budget-matrix", type=int, default=MATRIX_LIMIT)
 
     parser = argparse.ArgumentParser(
         prog="sheafkit", description="contextuality analysis toolkit"
@@ -480,9 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--dump", default=None, help="binary density-frame dump path")
     p_evolve.set_defaults(func=cmd_evolve)
 
-    p_fix = sub.add_parser("fixtures", parents=[common], help="bundled fixture library")
+    p_fix = sub.add_parser("fixtures", help="bundled fixture library")
     p_fix.add_argument("action", choices=["list"])
-    p_fix.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_fix.set_defaults(func=cmd_fixtures)
     return parser
 
@@ -492,9 +492,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IncompatibleModel as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
     except SheafkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

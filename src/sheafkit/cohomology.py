@@ -49,9 +49,6 @@ class FreeAbelianSection:
                     f"{self.context.label()}"
                 )
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
 
 def fa_section(context: Context, coefficients: Mapping[LocalSection, int]) -> FreeAbelianSection:
     """Normalized constructor: zero coefficients are omitted."""
@@ -73,9 +70,9 @@ class Cochain0:
 class CoboundaryMatrices:
     """D0: C0 -> C1 and D1: C1 -> C2 over supported-section bases.
 
-    Row/column index maps are stored alongside; D1 . D0 = 0 is verified at
-    construction.  The kernel of D0 and its per-context projections are
-    computed on first use and kept.
+    Row/column index maps are stored alongside; D1 . D0 = 0 is checked once,
+    by :func:`quotient_invariants`.  The kernel of D0 and its per-context
+    projections are computed on first use and kept.
     """
 
     nerve: Nerve

@@ -25,6 +25,11 @@ hbar_eff.
 The diffusion scale sigma ties to hbar through hbar = mass * sigma, and the
 default sigma -> lambda map is the clamp of m sigma / hbar to [0, 1]; both
 are overridable.
+
+Every run uses one numerical configuration, fixed by the module constants:
+the density floor ``RHO_FLOOR``, the time-step bound's ``STABILITY_FACTOR``,
+the collapse guard's ``COLLAPSE_FRACTION`` and the visibility clamp
+``VISIBILITY_FLOOR``.
 """
 
 from __future__ import annotations
@@ -37,12 +42,15 @@ import numpy as np
 
 from .errors import DensityCollapse, NonMonotoneMap, StabilityViolation
 
-#: Density floor applied before computing the curvature term Q.
+#: Density floor: regularizes Q, and below it the phase is undefined
+#: (``polar_compose``) and the collapse guard counts a cell as void.
 RHO_FLOOR = 1e-14
 #: Clamp used when computing fringe visibility, so sub-floor densities read flat.
 VISIBILITY_FLOOR = 1e-12
-#: Default safety factor in the time-step bound dt <= c * dx^2 * m / hbar.
+#: Safety factor in the time-step bound dt <= c * dx^2 * m / hbar.
 STABILITY_FACTOR = 0.2
+#: Largest share of the grid that may newly fall below ``RHO_FLOOR`` in a run.
+COLLAPSE_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -74,23 +82,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Constants and the sampled external potential for one run.
+    """Physical constants and the sampled external potential for one run.
 
-    ``q_method`` and ``rho_floor`` set how Q is computed; Q enters stepping
-    only at lam = 0.  ``rho_floor`` also marks where the phase is defined
-    (``polar_compose``) and what the collapse guard counts as void, at
-    every lam.
+    The numerical settings are not per run: the density floor, the time-step
+    bound and the collapse guard read ``RHO_FLOOR``, ``STABILITY_FACTOR`` and
+    ``COLLAPSE_FRACTION``.
     """
 
     hbar: float
     mass: float
     lam: float
-    sigma: float | None
     potential: np.ndarray
-    q_method: str = "spectral"
-    rho_floor: float = RHO_FLOOR
-    stability_factor: float = STABILITY_FACTOR
-    collapse_fraction: float = 0.10
 
 
 def physical_params(
@@ -100,10 +102,6 @@ def physical_params(
     sigma: float | None = None,
     lam: float = 1.0,
     potential: np.ndarray | None = None,
-    q_method: str = "spectral",
-    rho_floor: float = RHO_FLOOR,
-    stability_factor: float = STABILITY_FACTOR,
-    collapse_fraction: float = 0.10,
 ) -> PhysicalParams:
     """Validated constructor enforcing hbar = mass * sigma when both appear."""
     if mass <= 0:
@@ -120,18 +118,13 @@ def physical_params(
         raise ValueError("hbar must be positive")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if q_method not in ("spectral", "fd"):
-        raise ValueError(f"unknown q_method {q_method!r}")
     if potential is None:
         potential = np.zeros(grid.n_points)
     else:
         potential = np.asarray(potential, dtype=float)
         if potential.shape != (grid.n_points,):
             raise ValueError("potential must be sampled on the grid")
-    return PhysicalParams(
-        hbar, mass, lam, sigma, potential, q_method, rho_floor, stability_factor,
-        collapse_fraction,
-    )
+    return PhysicalParams(hbar, mass, lam, potential)
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,7 @@ def polar_compose(psi: np.ndarray, params: PhysicalParams) -> tuple[np.ndarray, 
     """
     rho = np.abs(psi) ** 2
     phase = np.angle(psi)
-    good = rho > params.rho_floor
+    good = rho > RHO_FLOOR
     if good.any():
         idx = np.flatnonzero(good)
         unwrapped = np.unwrap(phase[idx])
@@ -181,32 +174,20 @@ def polar_compose(psi: np.ndarray, params: PhysicalParams) -> tuple[np.ndarray, 
 # Quantum potential.
 
 
-def quantum_potential(
-    rho: np.ndarray,
-    grid: Grid,
-    params: PhysicalParams,
-    method: str | None = None,
-) -> np.ndarray:
+def quantum_potential(rho: np.ndarray, grid: Grid, params: PhysicalParams) -> np.ndarray:
     """Q = -(hbar^2 / 2m) * lap(sqrt(rho)) / sqrt(rho), regularized at nodes.
 
-    ``method`` is "spectral" (default via params) or "fd" (centered second
-    differences, second order).  The density floor keeps the quotient finite
-    where rho vanishes; there Q decays to zero on flat stretches.
+    The Laplacian is spectral.  ``RHO_FLOOR`` keeps the quotient finite where
+    rho vanishes; there Q decays to zero on flat stretches.
     """
-    method = method or params.q_method
     rho = np.asarray(rho, dtype=float)
     # Additive regularization: a hard max(rho, floor) clamp puts a kink in
     # sqrt(rho) and a step in the effective potential right at the floor
     # boundary, which pumps amplitude into the sub-floor region; sqrt(rho +
     # floor) is smooth, agrees with sqrt(rho) to O(floor/rho) in the bulk,
     # and sends Q to zero in flat sub-floor regions.
-    sq = np.sqrt(np.clip(rho, 0.0, None) + params.rho_floor)
-    if method == "spectral":
-        lap = np.fft.ifft(-(grid.k**2) * np.fft.fft(sq)).real
-    elif method == "fd":
-        lap = (np.roll(sq, -1) - 2.0 * sq + np.roll(sq, 1)) / grid.dx**2
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    sq = np.sqrt(np.clip(rho, 0.0, None) + RHO_FLOOR)
+    lap = np.fft.ifft(-(grid.k**2) * np.fft.fft(sq)).real
     return -(params.hbar**2 / (2.0 * params.mass)) * lap / sq
 
 
@@ -274,24 +255,24 @@ def _fields(
 
 
 def check_timestep(dt: float, grid: Grid, params: PhysicalParams) -> None:
-    bound = params.stability_factor * grid.dx**2 * params.mass / params.hbar
+    bound = STABILITY_FACTOR * grid.dx**2 * params.mass / params.hbar
     if dt > bound:
         raise StabilityViolation(f"dt={dt} exceeds stability bound {bound:.3e}")
 
 
-def _coarse_subfloor(rho: np.ndarray, floor: float) -> float:
+def _coarse_subfloor(rho: np.ndarray) -> float:
     # 5-cell periodic box filter: isolated fringe minima disappear, genuine
     # voids survive, so the collapse guard does not trip on interference.
     kernel = np.full(5, 0.2)
     padded = np.concatenate([rho[-2:], rho, rho[:2]])
-    return float(np.mean(np.convolve(padded, kernel, mode="valid") <= floor))
+    return float(np.mean(np.convolve(padded, kernel, mode="valid") <= RHO_FLOOR))
 
 
-def _collapse_guard(baseline: float, rho: np.ndarray, floor: float, fraction: float) -> None:
+def _collapse_guard(baseline: float, rho: np.ndarray) -> None:
     # Collapse means voids growing beyond what the reference state already
     # had; interference minima oscillating through the floor do not count.
-    newly = _coarse_subfloor(rho, floor) - baseline
-    if newly > fraction:
+    newly = _coarse_subfloor(rho) - baseline
+    if newly > COLLAPSE_FRACTION:
         raise DensityCollapse(
             f"density floor newly activated over {newly:.0%} of the grid"
         )
@@ -316,10 +297,10 @@ def step(state: LambdaState, dt: float, params: PhysicalParams, grid: Grid) -> L
     _check_state(state, grid)
     field = _field_params(params)
     psi = polar_decompose(state.rho, state.s, field)
-    baseline = _coarse_subfloor(state.rho, params.rho_floor)
+    baseline = _coarse_subfloor(state.rho)
     psi = next(_fields(psi, dt, field, grid))
     rho, s = polar_compose(psi, field)
-    _collapse_guard(baseline, rho, params.rho_floor, params.collapse_fraction)
+    _collapse_guard(baseline, rho)
     return LambdaState(rho, s, state.time + dt)
 
 
@@ -339,14 +320,13 @@ def compute_observables(
     grid: Grid,
     time: float = 0.0,
     window: tuple[float, float] | None = None,
-    visibility_floor: float = VISIBILITY_FLOOR,
     visibility_rel_floor: float = 0.0,
 ) -> Observables:
     """Norm, centroid, packet width, and windowed fringe visibility.
 
     Visibility is (max - min) / (max + min) of the density over the window
     (whole domain when None).  Values are clamped from below at
-    ``visibility_floor``, or at ``visibility_rel_floor`` times the global
+    ``VISIBILITY_FLOOR``, or at ``visibility_rel_floor`` times the global
     density maximum if that is larger, so structure too faint to resolve
     reads as flat.
     """
@@ -362,7 +342,7 @@ def compute_observables(
         sel = (x >= lo) & (x <= hi)
         if not sel.any():
             raise ValueError(f"visibility window {window} contains no grid points")
-    clamp = max(visibility_floor, visibility_rel_floor * float(rho.max()))
+    clamp = max(VISIBILITY_FLOOR, visibility_rel_floor * float(rho.max()))
     clamped = np.maximum(rho[sel], clamp)
     hi_v, lo_v = float(clamped.max()), float(clamped.min())
     visibility = (hi_v - lo_v) / (hi_v + lo_v)
@@ -377,7 +357,6 @@ def evolve(
     dt: float,
     record_every: int = 1,
     window: tuple[float, float] | None = None,
-    visibility_floor: float = VISIBILITY_FLOOR,
     visibility_rel_floor: float = 0.0,
     collect_frames: bool = False,
 ) -> tuple[list[Observables], list[np.ndarray]]:
@@ -400,25 +379,16 @@ def evolve(
     field = _field_params(params)
     psi = polar_decompose(initial.rho, initial.s, field)
     rho = np.abs(psi) ** 2
-    records = [
-        compute_observables(
-            rho, grid, initial.time, window, visibility_floor, visibility_rel_floor
-        )
-    ]
+    records = [compute_observables(rho, grid, initial.time, window, visibility_rel_floor)]
     frames = [rho.copy()] if collect_frames else []
-    baseline = _coarse_subfloor(rho, params.rho_floor)
+    baseline = _coarse_subfloor(rho)
     for i, psi in zip(range(1, n_steps + 1), _fields(psi, dt, field, grid)):
         rho = np.abs(psi) ** 2
-        _collapse_guard(baseline, rho, params.rho_floor, params.collapse_fraction)
+        _collapse_guard(baseline, rho)
         if i % record_every == 0 or i == n_steps:
             records.append(
                 compute_observables(
-                    rho,
-                    grid,
-                    initial.time + i * dt,
-                    window,
-                    visibility_floor,
-                    visibility_rel_floor,
+                    rho, grid, initial.time + i * dt, window, visibility_rel_floor
                 )
             )
             if collect_frames:

@@ -437,12 +437,12 @@ def reference_evolve(initial, params, grid, t_final, dt, record_every=1):
     psi = sk.polar_decompose(initial.rho, initial.s, field)
     rho = np.abs(psi) ** 2
     records, frames = [sk.compute_observables(rho, grid, initial.time)], [rho.copy()]
-    baseline = dynamics._coarse_subfloor(rho, params.rho_floor)
+    baseline = dynamics._coarse_subfloor(rho)
     n_steps = int(round(t_final / dt))
     for i in range(1, n_steps + 1):
         psi = reference_advance_field(psi, dt, field, grid)
         rho = np.abs(psi) ** 2
-        dynamics._collapse_guard(baseline, rho, params.rho_floor, params.collapse_fraction)
+        dynamics._collapse_guard(baseline, rho)
         if i % record_every == 0 or i == n_steps:
             records.append(sk.compute_observables(rho, grid, initial.time + i * dt))
             frames.append(rho.copy())

@@ -323,6 +323,17 @@ def test_fixtures_list(capsys):
     assert names == list(cli.FIXTURE_NAMES)
 
 
+def test_fixtures_list_rejects_report_options(tmp_path, capsys):
+    # `fixtures list` always prints to stdout, so an --output it would ignore
+    # is refused instead
+    out_path = tmp_path / "list.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fixtures", "list", "--output", str(out_path)])
+    assert exc.value.code == cli.EXIT_INVALID
+    assert not out_path.exists()
+    assert "--output" in capsys.readouterr().err
+
+
 def test_reports_byte_identical_with_seed(capsys):
     a = run_cli(["check", "prbox", "--no-timings", "--seed", "7"], capsys)
     b = run_cli(["check", "prbox", "--no-timings", "--seed", "7"], capsys)

@@ -102,9 +102,8 @@ def test_quantum_potential_uniform_zero():
     g = make_grid()
     p = sk.physical_params(g)
     rho = np.full(g.n_points, 1.0 / g.length)
-    for method in ("spectral", "fd"):
-        q = sk.quantum_potential(rho, g, p, method=method)
-        assert np.max(np.abs(q)) < 1e-9
+    q = sk.quantum_potential(rho, g, p)
+    assert np.max(np.abs(q)) < 1e-9
 
 
 def test_quantum_potential_gaussian_analytic():
@@ -116,26 +115,8 @@ def test_quantum_potential_gaussian_analytic():
         1.0 / (2 * sigma0**2) - g.x**2 / (4 * sigma0**4)
     )
     core = np.abs(g.x) < 2.0
-    for method in ("spectral", "fd"):
-        q = sk.quantum_potential(rho, g, p, method=method)
-        assert np.max(np.abs(q - analytic)[core]) < 5e-3
-
-
-def test_quantum_potential_fd_second_order():
-    sigma0 = 0.5
-    errs = {}
-    for n in (512, 1024):
-        g = sk.Grid(n, 16.0)
-        p = sk.physical_params(g)
-        rho = dynamics.gaussian_density(g, 0.0, sigma0)
-        analytic = (p.hbar**2 / (2 * p.mass)) * (
-            1.0 / (2 * sigma0**2) - g.x**2 / (4 * sigma0**4)
-        )
-        core = np.abs(g.x) < 2.0
-        q = sk.quantum_potential(rho, g, p, method="fd")
-        errs[n] = np.max(np.abs(q - analytic)[core])
-    ratio = errs[512] / errs[1024]
-    assert 3.0 < ratio < 5.0
+    q = sk.quantum_potential(rho, g, p)
+    assert np.max(np.abs(q - analytic)[core]) < 5e-3
 
 
 def test_quantum_potential_finite_on_floored_tails():
@@ -281,7 +262,7 @@ def test_kspace_loop_matches_position_space_reference(potential):
 def test_collapse_guard_checks_every_step(lam, first):
     # a spread packet with its phase reversed refocuses toward sigma0 = 0.15
     # at step 2000 and voids most of the grid; evolve must raise at the first
-    # step whose density newly floors more than collapse_fraction of the grid,
+    # step whose density newly floors more than COLLAPSE_FRACTION of the grid,
     # also when it records only the final step, whose density by step 4000 is
     # as spread as the baseline again
     g = make_grid()
