@@ -465,10 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
                               help="integrate the lambda-interpolated dynamics")
     p_evolve.add_argument("--format", choices=["json", "csv", "text"], default="csv")
     p_evolve.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_evolve.add_argument("--sigma", type=float, default=None)
+    p_evolve.add_argument("--sigma", type=float, default=None,
+                          help="pick lambda by the sigma map at the run's hbar; hbar stays")
     p_evolve.add_argument("--map", default=None, help="JSON [[sigma,lambda],...] table")
     p_evolve.add_argument("--mass", type=float, default=1.0)
-    p_evolve.add_argument("--hbar", type=float, default=None)
+    p_evolve.add_argument("--hbar", type=float, default=None,
+                          help="hbar of the run (default 1), also with --sigma")
     p_evolve.add_argument("--grid-n", type=int, default=512)
     p_evolve.add_argument("--length", type=float, default=16.0)
     p_evolve.add_argument("--dt", type=float, default=1.5e-4)

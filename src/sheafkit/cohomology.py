@@ -8,8 +8,8 @@ kernel, the lattice of integer-coefficient families with all disagreements
 zero.  A supported section's obstruction asks whether some family in that
 lattice extends it, i.e. whether the lattice's projection onto the section's
 context contains the section's generator.  That is decided exactly by Smith
-normal form: one of D0 for a kernel basis (which also gives H0), then one of
-the projected basis per context for all of that context's sections.
+normal form: one of D0 for a kernel basis, H0 and H1's torsion (D1 adds its
+rank), then one of the projected basis per context for all of its sections.
 Non-vanishing certifies non-extendability; the converse is not asserted
 anywhere.
 
@@ -21,7 +21,7 @@ depend on these choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -71,8 +71,8 @@ class CoboundaryMatrices:
     """D0: C0 -> C1 and D1: C1 -> C2 over supported-section bases.
 
     Row/column index maps are stored alongside; D1 . D0 = 0 is checked once,
-    by :func:`quotient_invariants`.  The kernel of D0 and its per-context
-    projections are computed on first use and kept.
+    by :func:`cech_invariants`.  The Smith form of D0, its kernel and the
+    per-context projections of the kernel are computed on first use and kept.
     """
 
     nerve: Nerve
@@ -81,17 +81,29 @@ class CoboundaryMatrices:
     triangle_basis: tuple[tuple[int, LocalSection], ...]
     d0: ZMat
     d1: ZMat
-    _projections: dict[int, SmithForm] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def vertex_column(self, vertex: int, section: LocalSection) -> int:
         return self.vertex_basis.index((vertex, section))
 
     @cached_property
+    def d0_form(self) -> SmithForm:
+        return smith_normal_form(self.d0)
+
+    @cached_property
     def kernel(self) -> list[list[int]]:
         """Integer basis of ker D0: every family with zero coboundary."""
-        return kernel_basis(self.d0)
+        return kernel_basis(self.d0_form)
+
+    @cached_property
+    def projections(self) -> list[tuple[list[int], SmithForm]]:
+        """Per context: its block of D0 columns and the Smith form of ker D0
+        projected onto it (the projected basis spans the projection)."""
+        kernel = self.kernel
+        blocks: list[list[int]] = [[] for _ in self.nerve.vertices]
+        for c, (vi, _) in enumerate(self.vertex_basis):
+            blocks[vi].append(c)
+        projected = (ZMat(len(b), len(kernel), [[k[c] for k in kernel] for c in b]) for b in blocks)
+        return [(b, smith_normal_form(p)) for b, p in zip(blocks, projected)]
 
 
 def _sorted_support(support_model: SupportModel, ctx: Context) -> list[LocalSection]:
@@ -110,8 +122,8 @@ def build_coboundary_matrices(
 ) -> CoboundaryMatrices:
     """Assemble the integer coboundary matrices of a support model.
 
-    D1 . D0 = 0 by construction; :func:`quotient_invariants` checks it once,
-    when the invariants are computed.
+    D1 . D0 = 0 by construction; :func:`cech_invariants` checks it once,
+    when the invariants are computed.  ``limit`` bounds both matrices.
     """
     scenario = support_model.scenario
     if nerve is None:
@@ -134,11 +146,12 @@ def build_coboundary_matrices(
         sections = _restricted_basis([supp[tri.i], supp[tri.j], supp[tri.k]], tri.context)
         triangle_basis.extend((ti, s) for s in sections)
 
-    if len(edge_basis) * max(len(vertex_basis), 1) > limit:
-        raise SizeLimitExceeded("coboundary matrix exceeds the size budget")
+    for rows, cols in ((edge_basis, vertex_basis), (triangle_basis, edge_basis)):
+        if len(rows) * max(len(cols), 1) > limit:
+            raise SizeLimitExceeded("coboundary matrix exceeds the size budget")
 
     vcol = {key: idx for idx, key in enumerate(vertex_basis)}
-    erow = {key: idx for idx, key in enumerate(edge_basis)}
+    erow = {key: idx for idx, key in enumerate(edge_basis)}  # D0's rows and D1's columns
     trow = {key: idx for idx, key in enumerate(triangle_basis)}
 
     d0 = ZMat.zeros(len(edge_basis), len(vertex_basis))
@@ -148,7 +161,6 @@ def build_coboundary_matrices(
                 row = erow[(ei, restrict(s, edge.context))]
                 d0.a[row][vcol[(vi, s)]] += sign
 
-    ecol = erow  # same indexing: edge basis is both D0's rows and D1's columns
     d1 = ZMat.zeros(len(triangle_basis), len(edge_basis))
     edge_index = {(e.i, e.j): ei for ei, e in enumerate(nerve.edges)}
     for ti, tri in enumerate(nerve.triangles):
@@ -160,7 +172,7 @@ def build_coboundary_matrices(
         for ei, sign in faces:
             for s in edge_sections[ei]:
                 row = trow[(ti, restrict(s, tri.context))]
-                d1.a[row][ecol[(ei, s)]] += sign
+                d1.a[row][erow[(ei, s)]] += sign
 
     return CoboundaryMatrices(
         nerve,
@@ -184,20 +196,6 @@ class SectionObstruction:
     witness: Cochain0 | None
 
 
-def _projected_kernel(matrices: CoboundaryMatrices, vertex: int) -> tuple[list[int], SmithForm]:
-    """One context's block of columns and the Smith form of ker D0 projected onto it.
-
-    The projected basis spans the projection over the integers.
-    """
-    block = [c for c, (vi, _) in enumerate(matrices.vertex_basis) if vi == vertex]
-    nf = matrices._projections.get(vertex)
-    if nf is None:
-        kernel = matrices.kernel
-        projected = ZMat(len(block), len(kernel), [[k[c] for k in kernel] for c in block])
-        nf = matrices._projections[vertex] = smith_normal_form(projected)
-    return block, nf
-
-
 def obstruction(
     support_model: SupportModel,
     context_index: int,
@@ -208,8 +206,8 @@ def obstruction(
 
     With K an integer basis of ker D0, the obstruction vanishes exactly when
     (K restricted to the context's block) z = e_section has an integer
-    solution.  The block's Smith form is computed once per context and kept
-    on ``matrices``.  A solution gives the witness family K z, whose
+    solution.  The blocks' Smith forms are computed once, for every context,
+    and kept on ``matrices``.  A solution gives the witness family K z, whose
     component at the context is the section's generator; unsolvability is
     the non-vanishing obstruction.
     """
@@ -220,7 +218,7 @@ def obstruction(
     if section not in support_model.support(ctx):
         raise ValueError(f"section {section.label()} not in the support of {ctx.label()}")
 
-    block, nf = _projected_kernel(matrices, context_index)
+    block, nf = matrices.projections[context_index]
     fixed = matrices.vertex_column(context_index, section)
     z = nf.solve([int(c == fixed) for c in block])
     if z is None:
@@ -249,11 +247,13 @@ def cech_invariants(
     support_model: SupportModel,
     matrices: CoboundaryMatrices | None = None,
 ) -> CechInvariants:
-    """H0 = ker D0; H1 = ker D1 / im D0 via Smith normal form."""
+    """H0 = ker D0; H1 = ker D1 / im D0, once D1 . D0 = 0 is checked."""
     if matrices is None:
         matrices = build_coboundary_matrices(support_model)
+    if not matrices.d1.matmul(matrices.d0).is_zero():
+        raise ValueError("D1 . D0 != 0; not a chain complex")
     h0 = len(matrices.kernel)
-    h1_rank, torsion = quotient_invariants(matrices.d1, matrices.d0)
+    h1_rank, torsion = quotient_invariants(matrices.d1, matrices.d0_form)
     return CechInvariants(h0, h1_rank, tuple(torsion))
 
 
@@ -279,8 +279,8 @@ def obstruction_report(
 ) -> ObstructionReport:
     """Obstruction of every supported section, in deterministic order.
 
-    Verdicts and invariants share one set of matrices: one Smith form of D0,
-    and one per context however many sections it supports.
+    Verdicts and invariants share one set of matrices and len(cover) + 2
+    Smith forms: of D0, of D1 and of one projection per context.
     """
     matrices = build_coboundary_matrices(support_model, limit=matrix_limit)
     entries = tuple(

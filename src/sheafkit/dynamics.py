@@ -22,9 +22,9 @@ S is the physical action at every lambda: the polar helpers and the initial
 states use hbar, and only the field inside ``step`` and ``evolve`` carries
 hbar_eff.
 
-The diffusion scale sigma ties to hbar through hbar = mass * sigma, and the
-default sigma -> lambda map is the clamp of m sigma / hbar to [0, 1]; both
-are overridable.
+Only ``physical_params(sigma=)`` ties sigma to hbar, as hbar = mass * sigma;
+``evolve --sigma`` only maps sigma to lambda at ``--hbar`` (or 1) through
+``lambda_from_sigma``, by default the clamp of m sigma / hbar to [0, 1].
 
 Every run uses one numerical configuration, fixed by the module constants:
 the density floor ``RHO_FLOOR``, the time-step bound's ``STABILITY_FACTOR``,

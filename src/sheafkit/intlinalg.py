@@ -3,7 +3,7 @@
 Everything works on arbitrary-precision Python ints, so entry growth during
 reduction is harmless at the matrix sizes used here.  The Smith form S = U A V
 (U, V unimodular) yields integer solvability of A x = b, an integer kernel
-basis, and the invariant factors of quotient groups.
+basis, and the invariant factors of quotient groups, all from one reduction.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class ZMat:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.a for v in row)
 
-    def submatrix_rows(self, start: int) -> "ZMat":
-        return ZMat(self.m - start, self.n, [row[:] for row in self.a[start:]])
-
 
 @dataclass
 class SmithForm:
@@ -77,7 +74,6 @@ class SmithForm:
     s: ZMat
     u: ZMat
     v: ZMat
-    v_inv: ZMat
     rank: int
     divisors: list[int]
 
@@ -108,7 +104,6 @@ def smith_normal_form(mat: ZMat) -> SmithForm:
     m, n = s.m, s.n
     u = ZMat.identity(m)
     v = ZMat.identity(n)
-    v_inv = ZMat.identity(n)
 
     def row_add(i: int, k: int, q: int) -> None:
         s.a[i] = [x + q * y for x, y in zip(s.a[i], s.a[k])]
@@ -123,19 +118,17 @@ def smith_normal_form(mat: ZMat) -> SmithForm:
         u.a[i] = [-x for x in u.a[i]]
 
     def col_add(j: int, k: int, q: int) -> None:
-        # col_j += q * col_k; the inverse op lands on v_inv's rows.
+        # col_j += q * col_k
         for row in s.a:
             row[j] += q * row[k]
         for row in v.a:
             row[j] += q * row[k]
-        v_inv.a[k] = [x - q * y for x, y in zip(v_inv.a[k], v_inv.a[j])]
 
     def col_swap(j: int, k: int) -> None:
         for row in s.a:
             row[j], row[k] = row[k], row[j]
         for row in v.a:
             row[j], row[k] = row[k], row[j]
-        v_inv.a[j], v_inv.a[k] = v_inv.a[k], v_inv.a[j]
 
     t = 0
     while t < min(m, n):
@@ -197,33 +190,23 @@ def smith_normal_form(mat: ZMat) -> SmithForm:
         t += 1
 
     divisors = [s.a[i][i] for i in range(min(m, n)) if s.a[i][i] != 0]
-    return SmithForm(s, u, v, v_inv, len(divisors), divisors)
+    return SmithForm(s, u, v, len(divisors), divisors)
 
 
-def solve(mat: ZMat, b: Sequence[int]) -> list[int] | None:
-    """One integer solution of A x = b, or None when none exists."""
-    return smith_normal_form(mat).solve(b)
+def kernel_basis(nf: SmithForm) -> list[list[int]]:
+    """Integer basis of ker A from A's Smith form (columns of V past the rank)."""
+    return [[row[j] for row in nf.v.a] for j in range(nf.rank, nf.v.n)]
 
 
-def kernel_basis(mat: ZMat) -> list[list[int]]:
-    """Integer basis of ker A (columns of V past the rank)."""
-    nf = smith_normal_form(mat)
-    return [[nf.v.a[i][j] for i in range(mat.n)] for j in range(nf.rank, mat.n)]
-
-
-def quotient_invariants(d_out: ZMat, d_in: ZMat) -> tuple[int, list[int]]:
+def quotient_invariants(d_out: ZMat, d_in: SmithForm) -> tuple[int, list[int]]:
     """Structure of ker(d_out) / im(d_in) as (free rank, torsion divisors).
 
-    Requires d_out @ d_in = 0.  The inclusion map is re-expressed in kernel
-    coordinates via the Smith form of d_out, then reduced again.
+    Takes d_in's Smith form; the caller guarantees d_out @ d_in = 0.  With C
+    the middle group, C / ker(d_out) = im(d_out) lies in a free group, so it
+    is free, ker(d_out) is saturated, 0 -> ker/im -> coker(d_in) -> C/ker -> 0
+    splits, and the torsion is that of coker(d_in): d_in's divisors above 1.
     """
-    if d_out.n != d_in.m:
+    if d_out.n != d_in.s.m:
         raise ValueError("chain maps do not compose")
-    if not d_out.matmul(d_in).is_zero():
-        raise ValueError("d_out . d_in != 0; not a chain complex")
-    nf_out = smith_normal_form(d_out)
-    kernel_dim = d_out.n - nf_out.rank
-    coords = nf_out.v_inv.matmul(d_in).submatrix_rows(nf_out.rank)
-    nf_in = smith_normal_form(coords)
-    torsion = [d for d in nf_in.divisors if d not in (1, -1)]
-    return kernel_dim - nf_in.rank, torsion
+    free = d_out.n - smith_normal_form(d_out).rank - d_in.rank
+    return free, [d for d in d_in.divisors if d != 1]

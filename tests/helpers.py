@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's decision paths: global
 search is plain itertools enumeration, rational rank is a fresh Gaussian
 elimination, LP answers are checked through duality certificates and against
 a dense tableau, a section's obstruction is re-decided by its own integer
-system, the degree-0 coboundary is taken section by section through
-restriction, and the dynamics is re-run by the plain four-FFT split step.
+system, H1 is re-derived in kernel coordinates, the degree-0 coboundary is
+taken section by section through restriction, and the dynamics is re-run by
+the plain four-FFT split step.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sheafkit as sk
 from sheafkit import dynamics, simplex
 from sheafkit.cohomology import Cochain0, FreeAbelianSection, fa_section
 from sheafkit.errors import SolverBudgetExceeded
-from sheafkit.intlinalg import ZMat, solve
+from sheafkit.intlinalg import ZMat, kernel_basis, smith_normal_form
 
 HALF = Fraction(1, 2)
 
@@ -233,7 +234,24 @@ def free_column_vanishes(matrices, context_index: int, section: sk.LocalSection)
     fixed = matrices.vertex_column(context_index, section)
     free = [c for c, (vi, _) in enumerate(matrices.vertex_basis) if vi != context_index]
     a = ZMat(d0.m, len(free), [[row[c] for c in free] for row in d0.a])
-    return solve(a, [-row[fixed] for row in d0.a]) is not None
+    return smith_normal_form(a).solve([-row[fixed] for row in d0.a]) is not None
+
+
+def kernel_coordinate_invariants(d_out: ZMat, d_in: ZMat) -> tuple[int, list[int]]:
+    """ker(d_out) / im(d_in) as (free rank, torsion divisors), the long way.
+
+    Writes each column of d_in in an integer kernel basis K of d_out, by
+    solving K x = column, and reads the quotient off the Smith form of those
+    coordinates.  It needs no saturation argument, and no V^-1.
+    """
+    kernel = kernel_basis(smith_normal_form(d_out))
+    r = len(kernel)
+    basis = smith_normal_form(ZMat(d_out.n, r, [[k[i] for k in kernel] for i in range(d_out.n)]))
+    coords = [basis.solve([row[j] for row in d_in.a]) for j in range(d_in.n)]
+    if None in coords:
+        raise ValueError("im(d_in) is not inside ker(d_out)")
+    nf = smith_normal_form(ZMat(r, d_in.n, [[x[i] for x in coords] for i in range(r)]))
+    return r - nf.rank, [d for d in nf.divisors if d != 1]
 
 
 def fa_sub(a: FreeAbelianSection, b: FreeAbelianSection) -> FreeAbelianSection:

@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import sheafkit as sk
+from sheafkit import cli, cohomology, intlinalg
 from sheafkit.cohomology import (
     Cochain0,
     build_coboundary_matrices,
@@ -12,6 +15,8 @@ from sheafkit.cohomology import (
     obstruction,
     obstruction_report,
 )
+from sheafkit.errors import SizeLimitExceeded
+from sheafkit.intlinalg import ZMat
 from helpers import (
     HALF,
     bell_scenario,
@@ -19,6 +24,7 @@ from helpers import (
     coboundary0,
     deterministic_model,
     free_column_vanishes,
+    kernel_coordinate_invariants,
     pr_box_model,
     q_rank,
     random_global_model,
@@ -160,6 +166,33 @@ def test_matrices_bell_no_triangles():
     assert mats.d1.n == mats.d0.m
 
 
+def _star_model(leaves):
+    """Cover {x, y_i}: every triple of contexts meets in x, so D1 outgrows D0."""
+    sc = sk.build_scenario(
+        [("x", 2)] + [(f"y{i}", 2) for i in range(leaves)],
+        [["x", f"y{i}"] for i in range(leaves)],
+    )
+    return sk.build_model(sc, {("x", f"y{i}"): {(0, 0): HALF, (1, 1): HALF} for i in range(leaves)})
+
+
+def test_matrix_budget_bounds_d1(tmp_path, capsys):
+    model = _star_model(10)
+    supp = sk.support_of(model)
+    mats = build_coboundary_matrices(supp)
+    assert (mats.d0.m, mats.d0.n, mats.d1.m, mats.d1.n) == (90, 20, 240, 90)
+    # D0 alone (1,800 entries) fits the budget; D1 (21,600) does not
+    with pytest.raises(SizeLimitExceeded):
+        build_coboundary_matrices(supp, limit=5000)
+    build_coboundary_matrices(supp, limit=21600)
+
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(sk.model_to_dict(model)))
+    argv = ["cohomology", str(path), "--no-timings", "--budget-matrix"]
+    assert cli.main(argv + ["5000"]) == cli.EXIT_INVALID
+    assert "size budget" in capsys.readouterr().err
+    assert cli.main(argv + ["21600"]) == cli.EXIT_OK
+
+
 def test_d1_after_d0_is_zero_with_triangles():
     sc = sk.build_scenario(
         [("a", 2), ("b", 2), ("c", 2), ("d", 2)],
@@ -269,15 +302,41 @@ def _bell(m, d, tables):
     return sk.build_model(sc, {(f"a{i}", f"b{j}"): t for (i, j), t in tables.items()})
 
 
+def _avn_model():
+    """Bell 3 x 3 x 2 all-versus-nothing: a_i xor b_j = 1 only at (2, 2),
+    which no g(i) xor h(j) fits."""
+    return _bell(3, 2, {
+        (i, j): {(a, a ^ (i == j == 2)): HALF for a in (0, 1)} for i in range(3) for j in range(3)
+    })
+
+
+def test_report_takes_one_smith_form_per_context_plus_two(monkeypatch):
+    # D0 serves the kernel, H0 and H1's torsion; D1 gives its rank; one
+    # projection per context decides all of its sections
+    original = intlinalg.smith_normal_form
+    calls = []
+
+    def counted(mat):
+        calls.append((mat.m, mat.n))
+        return original(mat)
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", counted)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    avn = sk.support_of(_avn_model())
+    assert build_coboundary_matrices(avn).nerve.triangles  # so D1 is not empty
+    for supp in (sk.support_of(pr_box_model()), avn):
+        calls.clear()
+        report = obstruction_report(supp)
+        assert len(report.entries) > len(supp.scenario.cover)
+        assert len(calls) == len(supp.scenario.cover) + 2, calls
+
+
 def test_report_agrees_with_free_column_oracle():
     rng = random.Random(9090)
     models = [
         random_support_model(rng, random_scenario(rng, max_observables=5)) for _ in range(200)
     ]
-    # all-versus-nothing: a_i xor b_j = 1 only at (2, 2), which no g(i) xor h(j) fits
-    models.append(sk.support_of(_bell(3, 2, {
-        (i, j): {(a, a ^ (i == j == 2)): HALF for a in (0, 1)} for i in range(3) for j in range(3)
-    })))
+    models.append(sk.support_of(_avn_model()))
     # uniform mixture of the nine constant assignments and two more
     assignments = [((x, x), (y, y)) for x in range(3) for y in range(3)]
     assignments += [((0, 1), (2, 0)), ((1, 2), (0, 2))]
@@ -357,15 +416,49 @@ def test_torsion_matches_sympy():
         supp = random_support_model(rng, sc)
         mats = build_coboundary_matrices(supp)
         inv = cech_invariants(supp, mats)
-        if mats.d1.m == 0:
-            # H1 = C1 / im D0: torsion is carried by the Smith form of D0
-            if mats.d0.m and mats.d0.n:
-                snf = sympy_snf(sympy.Matrix(mats.d0.a))
-                diag = [snf[i, i] for i in range(min(snf.shape)) if snf[i, i] != 0]
-                expected = tuple(abs(d) for d in diag if abs(d) > 1)
-                assert inv.h1_torsion == expected
-            else:
-                assert inv.h1_torsion == ()
+        # ker D1 is saturated in C1, so H1's torsion is that of C1 / im D0
+        if mats.d0.m and mats.d0.n:
+            snf = sympy_snf(sympy.Matrix(mats.d0.a))
+            diag = [snf[i, i] for i in range(min(snf.shape)) if snf[i, i] != 0]
+            expected = tuple(abs(d) for d in diag if abs(d) > 1)
+            assert inv.h1_torsion == expected
+        else:
+            assert inv.h1_torsion == ()
+
+
+def test_invariants_match_kernel_coordinates_on_random_supports():
+    rng = random.Random(6060)
+    cases = [random_support_model(rng, random_scenario(rng)) for _ in range(20)]
+    avn = _avn_model()
+    for _ in range(20):
+        # Bell 3 x 3 x 2 has triangles: noncontextual supports and their
+        # mixtures with the all-versus-nothing model
+        glob = random_global_model(rng, avn.scenario, sparse=True)
+        cases.append(sk.support_of(glob))
+        cases.append(sk.support_of(sk.build_model(avn.scenario, {
+            c.members: {
+                s.outcomes: (avn.table(c).get(s, 0) + glob.table(c).get(s, 0)) / 2
+                for s in set(avn.table(c)) | set(glob.table(c))
+            }
+            for c in avn.scenario.cover
+        })))
+    cases += [sk.support_of(_avn_model()), sk.support_of(_star_model(4))]
+    with_triangles = 0
+    for supp in cases:
+        mats = build_coboundary_matrices(supp)
+        inv = cech_invariants(supp, mats)
+        h1_rank, torsion = kernel_coordinate_invariants(mats.d1, mats.d0)
+        assert (inv.h1_rank, inv.h1_torsion) == (h1_rank, tuple(torsion))
+        with_triangles += bool(mats.nerve.triangles)
+    assert with_triangles >= 10, with_triangles
+
+
+def test_cech_invariants_require_chain_complex():
+    supp = sk.support_of(pr_box_model())
+    mats = build_coboundary_matrices(supp)
+    bad = ZMat(1, mats.d0.m, [[row[0] for row in mats.d0.a]])  # D1 . D0 has (D0^T D0)[0][0] > 0
+    with pytest.raises(ValueError):
+        cech_invariants(supp, dataclasses.replace(mats, d1=bad))
 
 
 def test_invariants_independent_of_cover_order():

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from sheafkit.intlinalg import ZMat, kernel_basis, quotient_invariants, smith_normal_form, solve
+from sheafkit.intlinalg import ZMat, kernel_basis, quotient_invariants, smith_normal_form
+from helpers import kernel_coordinate_invariants
 
 
 def check_snf(mat: ZMat) -> None:
     nf = smith_normal_form(mat)
-    # S = U A V and V V^-1 = I
+    # S = U A V with U and V unimodular: their own divisors are all 1
     assert nf.u.matmul(mat).matmul(nf.v).a == nf.s.a
-    ident = nf.v.matmul(nf.v_inv)
-    assert ident.a == ZMat.identity(mat.n).a
+    assert smith_normal_form(nf.u).divisors == [1] * mat.m
+    assert smith_normal_form(nf.v).divisors == [1] * mat.n
     # diagonal, non-negative, divisibility chain
     for i in range(nf.s.m):
         for j in range(nf.s.n):
@@ -49,20 +50,21 @@ def test_snf_empty_shapes():
 
 def test_solve_solvable():
     mat = ZMat.from_rows([[2, 0], [0, 3]])
-    x = solve(mat, [4, 9])
+    x = smith_normal_form(mat).solve([4, 9])
     assert x is not None
     assert mat.matvec(x) == [4, 9]
 
 
 def test_solve_divisibility_failure():
     mat = ZMat.from_rows([[2]])
-    assert solve(mat, [3]) is None
-    assert solve(mat, [4]) == [2]
+    nf = smith_normal_form(mat)
+    assert nf.solve([3]) is None
+    assert nf.solve([4]) == [2]
 
 
 def test_solve_inconsistent():
     mat = ZMat.from_rows([[1, 1], [1, 1]])
-    assert solve(mat, [1, 2]) is None
+    assert smith_normal_form(mat).solve([1, 2]) is None
 
 
 def test_solve_random_roundtrip():
@@ -74,7 +76,7 @@ def test_solve_random_roundtrip():
         )
         x0 = [rng.randint(-4, 4) for _ in range(n)]
         b = mat.matvec(x0)
-        x = solve(mat, b)
+        x = smith_normal_form(mat).solve(b)
         assert x is not None
         assert mat.matvec(x) == b
 
@@ -94,7 +96,7 @@ def test_smith_form_solves_many_right_hand_sides():
 
 def test_kernel_basis():
     mat = ZMat.from_rows([[1, 1, 0], [0, 0, 2]])
-    basis = kernel_basis(mat)
+    basis = kernel_basis(smith_normal_form(mat))
     assert len(basis) == 1
     assert mat.matvec(basis[0]) == [0, 0]
     # kernel vector is primitive up to sign
@@ -105,7 +107,7 @@ def test_quotient_invariants_torsion():
     # Z^2 --(x2, x3 diag)--> Z^2 --0--> 0 : H = Z/2 + Z/3 = torsion [1? no]
     d_out = ZMat.zeros(0, 2)
     d_in = ZMat.from_rows([[2, 0], [0, 3]])
-    free, torsion = quotient_invariants(d_out, d_in)
+    free, torsion = quotient_invariants(d_out, smith_normal_form(d_in))
     assert free == 0
     # smith normal form of diag(2,3) is diag(1,6)
     assert torsion == [6]
@@ -114,16 +116,9 @@ def test_quotient_invariants_torsion():
 def test_quotient_invariants_free_part():
     d_out = ZMat.zeros(0, 3)
     d_in = ZMat.from_rows([[2, 0], [0, 0], [0, 0]], 2)
-    free, torsion = quotient_invariants(d_out, d_in)
+    free, torsion = quotient_invariants(d_out, smith_normal_form(d_in))
     assert free == 2
     assert torsion == [2]
-
-
-def test_quotient_requires_chain_complex():
-    d_out = ZMat.from_rows([[1, 0]])
-    d_in = ZMat.from_rows([[1], [0]], 1)
-    with pytest.raises(ValueError):
-        quotient_invariants(d_out, d_in)
 
 
 def test_quotient_with_nontrivial_kernel_coordinates():
@@ -131,6 +126,29 @@ def test_quotient_with_nontrivial_kernel_coordinates():
     # (1, -1, 0) and (2, 0, -2): quotient is Z/2
     d_out = ZMat.from_rows([[1, 1, 1]])
     d_in = ZMat.from_rows([[1, 2], [-1, 0], [0, -2]], 2)
-    free, torsion = quotient_invariants(d_out, d_in)
+    free, torsion = quotient_invariants(d_out, smith_normal_form(d_in))
     assert free == 0
     assert torsion == [2]
+
+
+def test_quotient_matches_kernel_coordinates_on_random_complexes():
+    # D1's rows are integer combinations of left-kernel vectors of D0, so
+    # D1 . D0 = 0 and ker D1 may be much larger than im D0
+    rng = random.Random(3131)
+    torsion_cases = nonzero_d1 = both = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        d0 = ZMat.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], n)
+        left = kernel_basis(smith_normal_form(ZMat(n, m, [list(col) for col in zip(*d0.a)])))
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            mix = [rng.randint(-2, 2) for _ in left]
+            rows.append([sum(c * y[i] for c, y in zip(mix, left)) for i in range(m)])
+        d1 = ZMat(len(rows), m, rows)
+        assert d1.matmul(d0).is_zero()
+        expected = kernel_coordinate_invariants(d1, d0)
+        assert quotient_invariants(d1, smith_normal_form(d0)) == expected
+        torsion_cases += bool(expected[1])
+        nonzero_d1 += not d1.is_zero()
+        both += bool(expected[1]) and not d1.is_zero()
+    assert torsion_cases >= 10 and nonzero_d1 >= 30 and both >= 5, (torsion_cases, nonzero_d1, both)
