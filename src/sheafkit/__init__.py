@@ -63,12 +63,10 @@ from .gluing import (
     FractionReport,
     GlobalAssignment,
     IncidenceMatrix,
-    NoncontextualityResult,
     build_incidence,
     classify_contextuality,
     contextual_fraction,
     enumerate_globals,
-    is_noncontextual,
     model_from_global_weights,
     sheaf_check,
 )
@@ -80,11 +78,8 @@ from .presheaf import (
     SupportModel,
     build_model,
     check_compatibility,
-    deterministic_support,
     enumerate_sections,
-    load_model,
     marginalize,
-    model_to_dict,
     restrict,
     support_of,
 )

@@ -29,7 +29,13 @@ from .cohomology import MATRIX_LIMIT, obstruction_report
 from .ctxlogic import parse_proposition, proposition_to_str, seven_value_of
 from .errors import IncompatibleModel, SheafkitError
 from .gluing import GLOBAL_LIMIT, NODE_BUDGET, classify_contextuality, contextual_fraction
-from .presheaf import EmpiricalModel, check_compatibility, model_from_dict, support_of
+from .presheaf import (
+    CompatibilityReport,
+    EmpiricalModel,
+    check_compatibility,
+    model_from_dict,
+    support_of,
+)
 from .simplex import PIVOT_BUDGET
 
 # numpy and the dynamics load only when `evolve` or a frame dump needs them,
@@ -82,7 +88,7 @@ def _fixture_dir_path() -> Path:
 def load_model_arg(arg: str, mode: str | None) -> tuple[EmpiricalModel, dict]:
     raw, display, fixture = resolve_model_arg(arg)
     data = json.loads(raw.decode())
-    if mode is not None:
+    if mode is not None and isinstance(data, dict):
         data["mode"] = mode
     base = Path(display).parent if Path(display).exists() else None
     model = model_from_dict(data, base_dir=base)
@@ -97,8 +103,6 @@ def load_model_arg(arg: str, mode: str | None) -> tuple[EmpiricalModel, dict]:
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        return value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -133,6 +137,19 @@ def emit(args: argparse.Namespace, report: dict, text: str | None = None) -> Non
         sys.stdout.write(payload)
 
 
+def emit_incompatible(args: argparse.Namespace, subcommand: str, meta: dict,
+                      compat: CompatibilityReport, started: float) -> int:
+    """Report each pair of contexts whose marginals disagree; invalid input."""
+    violations = [
+        {"pair": list(v.pair), "overlap": v.overlap.label(), "discrepancy": v.discrepancy}
+        for v in compat.violations
+    ]
+    report = make_report(args, subcommand, {"model": meta},
+                         {"error": "incompatible model", "violations": violations}, started)
+    emit(args, report, text=f"incompatible model: {len(violations)} violation(s)\n")
+    return EXIT_INVALID
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -144,19 +161,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         verdict = classify_contextuality(model, node_budget=args.budget_nodes,
                                          limit=args.budget_globals, budget=args.budget_pivots)
     except IncompatibleModel as exc:
-        violations = [
-            {
-                "pair": list(v.pair),
-                "overlap": v.overlap.label(),
-                "discrepancy": v.discrepancy,
-            }
-            for v in exc.report.violations
-        ]
-        report = make_report(args, "check", {"model": meta},
-                             {"error": "incompatible model", "violations": violations},
-                             started)
-        emit(args, report, text=f"incompatible model: {len(violations)} violation(s)\n")
-        return EXIT_INVALID
+        return emit_incompatible(args, "check", meta, exc.report, started)
     results = {
         "compatible": True,
         "noncontextual": verdict.noncontextual,
@@ -195,10 +200,7 @@ def cmd_fraction(args: argparse.Namespace) -> int:
     model, meta = load_model_arg(args.model, args.mode)
     compat = check_compatibility(model)
     if not compat.ok:
-        report = make_report(args, "fraction", {"model": meta},
-                             {"error": "incompatible model"}, started)
-        emit(args, report, text="incompatible model\n")
-        return EXIT_INVALID
+        return emit_incompatible(args, "fraction", meta, compat, started)
     fr = contextual_fraction(model, limit=args.budget_globals, budget=args.budget_pivots)
     weights = {
         "".join(str(o) for o in g.outcomes): w
@@ -308,6 +310,16 @@ def _parse_potential(spec: str, grid: Grid) -> np.ndarray | None:
     raise SheafkitError(f"bad --potential {spec!r}; expected free, harmonic:k, or a file")
 
 
+def _parse_map(path: str) -> list[tuple[float, float]]:
+    table = json.loads(Path(path).read_text())
+    if not isinstance(table, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(v, (int, float)) for v in p)
+        for p in table
+    ):
+        raise SheafkitError(f"bad --map {path!r}; expected a JSON [[sigma,lambda],...] table")
+    return [tuple(p) for p in table]
+
+
 def write_frame_dump(path: str | Path, frames: list[np.ndarray]) -> None:
     """Binary frame file: 16-byte header (magic, version, n_points, count)."""
     import numpy as np
@@ -320,17 +332,6 @@ def write_frame_dump(path: str | Path, frames: list[np.ndarray]) -> None:
             fh.write(np.asarray(frame, dtype="<f8").tobytes())
 
 
-def read_frame_dump(path: str | Path) -> list[np.ndarray]:
-    import numpy as np
-
-    raw = Path(path).read_bytes()
-    magic, version, n_points, count = struct.unpack("<4sIII", raw[:16])
-    if magic != FRAME_MAGIC:
-        raise SheafkitError(f"{path} is not a frame dump")
-    body = np.frombuffer(raw[16:], dtype="<f8")
-    return [body[i * n_points : (i + 1) * n_points].copy() for i in range(count)]
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
     from . import dynamics
 
@@ -339,9 +340,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     potential = _parse_potential(args.potential, grid)
 
     lam = args.lam
-    map_spec = None
-    if args.map:
-        map_spec = [tuple(p) for p in json.loads(Path(args.map).read_text())]
+    map_spec = _parse_map(args.map) if args.map else None
     if args.sigma is not None:
         probe = dynamics.physical_params(grid, mass=args.mass, hbar=args.hbar)
         lam = dynamics.lambda_from_sigma(args.sigma, probe, map_spec)
@@ -400,8 +399,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
-    if args.action != "list":
-        raise SheafkitError(f"unknown fixtures action {args.action!r}")
     lines = []
     for name in FIXTURE_NAMES:
         resource = files("sheafkit") / "fixtures" / f"{name}.json"
@@ -494,10 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SheafkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
+    except (SheafkitError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -116,18 +116,14 @@ def _restricted_basis(sections_by_vertex: list[list[LocalSection]], target: Cont
 
 
 def build_coboundary_matrices(
-    support_model: SupportModel,
-    nerve: Nerve | None = None,
-    limit: int = MATRIX_LIMIT,
+    support_model: SupportModel, limit: int = MATRIX_LIMIT
 ) -> CoboundaryMatrices:
     """Assemble the integer coboundary matrices of a support model.
 
     D1 . D0 = 0 by construction; :func:`cech_invariants` checks it once,
     when the invariants are computed.  ``limit`` bounds both matrices.
     """
-    scenario = support_model.scenario
-    if nerve is None:
-        nerve = build_nerve(scenario)
+    nerve = build_nerve(support_model.scenario)
     supp = [_sorted_support(support_model, ctx) for ctx in nerve.vertices]
 
     vertex_basis: list[tuple[int, LocalSection]] = []
@@ -263,10 +259,6 @@ class ObstructionReport:
 
     entries: tuple[SectionObstruction, ...]
     invariants: CechInvariants
-
-    @property
-    def all_nonvanishing(self) -> bool:
-        return all(not e.vanishes for e in self.entries)
 
     @property
     def any_nonvanishing(self) -> bool:

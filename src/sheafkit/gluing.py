@@ -205,7 +205,6 @@ class IncidenceMatrix:
     section that the column's global assignment restricts to.
     """
 
-    scenario: MeasurementScenario
     rows: tuple[tuple[int, LocalSection], ...]
     columns: tuple[GlobalAssignment, ...]
     entries: tuple[tuple[int, ...], ...]
@@ -222,53 +221,12 @@ def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) ->
     for gi, g in enumerate(columns):
         for ci, ctx in enumerate(scenario.cover):
             entries[row_pos[(ci, g.restrict(ctx))]][gi] = 1
-    return IncidenceMatrix(scenario, tuple(rows), columns, tuple(tuple(r) for r in entries))
+    return IncidenceMatrix(tuple(rows), columns, tuple(tuple(r) for r in entries))
 
 
 def probability_vector(model: EmpiricalModel, incidence: IncidenceMatrix) -> list[Number]:
     """Model probabilities aligned with the incidence row order."""
     return [model.table(model.scenario.cover[ci])[sec] for ci, sec in incidence.rows]
-
-
-@dataclass(frozen=True)
-class NoncontextualityResult:
-    """Feasibility of incidence . x = p with x >= 0, plus a certificate.
-
-    A view of the contextual-fraction LP.  ``distribution`` maps global
-    assignments to the optimal weights when the model is noncontextual: each
-    context's rows of incidence . x sum to NCF = 1, so the weights reproduce
-    p exactly.  ``separating`` is a Farkas vector y (y.M >= 0, y.p < 0) when
-    it is contextual, aligned with the incidence rows: the fraction dual minus
-    1/k in every entry, for k cover contexts.
-    """
-
-    noncontextual: bool
-    incidence: IncidenceMatrix
-    distribution: Mapping[GlobalAssignment, Number] | None
-    separating: tuple[Number, ...] | None
-
-
-def is_noncontextual(
-    model: EmpiricalModel,
-    limit: int = GLOBAL_LIMIT,
-    budget: int = simplex.PIVOT_BUDGET,
-) -> NoncontextualityResult:
-    """Decide existence of a global distribution reproducing every table.
-
-    A view of the contextual-fraction LP: the verdict is
-    :attr:`FractionReport.noncontextual`.
-    """
-    report = contextual_fraction(model, limit, budget)
-    incidence = report.incidence
-    if report.noncontextual:
-        dist = {g: w for g, w in zip(incidence.columns, report.weights) if w != 0}
-        return NoncontextualityResult(True, incidence, dist, None)
-    # y.M >= 1 on every column and each column has k ones, so y - 1/k is
-    # nonnegative on the columns while (y - 1/k).p = NCF - sum(p)/k < 0.
-    k = len(model.scenario.cover)
-    inv_k = Fraction(1, k) if model.mode == "rational" else 1.0 / k
-    separating = tuple(y - inv_k for y in report.dual)
-    return NoncontextualityResult(False, incidence, None, separating)
 
 
 @dataclass(frozen=True)
@@ -283,6 +241,13 @@ class FractionReport:
     (exactly in rational mode, at most ``simplex.FLOAT_TOL`` in float mode).
     For tables that sum to 1 this is NCF = 1.  In float mode NCF is capped
     at 1, so CF >= 0, and weights at most ``simplex.FLOAT_TOL`` read 0.
+
+    The report certifies either verdict.  When noncontextual, the weights
+    are a global distribution: each context's rows of incidence . x sum to
+    NCF = 1, so incidence . x = p exactly.  When contextual, y - 1/k is a
+    Farkas vector against incidence . x = p, x >= 0: it is nonnegative on
+    every column (each has k ones and y . incidence >= 1), and
+    (y - 1/k) . p = NCF - sum(p)/k < 0.
     """
 
     noncontextual_fraction: Number

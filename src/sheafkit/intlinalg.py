@@ -32,15 +32,6 @@ class ZMat:
     def identity(n: int) -> "ZMat":
         return ZMat(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], n: int | None = None) -> "ZMat":
-        rows = [list(r) for r in rows]
-        if n is None:
-            if not rows:
-                raise ValueError("need explicit column count for an empty matrix")
-            n = len(rows[0])
-        return ZMat(len(rows), n, rows)
-
     def clone(self) -> "ZMat":
         return ZMat(self.m, self.n, [row[:] for row in self.a])
 

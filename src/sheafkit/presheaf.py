@@ -15,7 +15,6 @@ measured data.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +28,7 @@ from .errors import (
     ParseError,
     SizeLimitExceeded,
 )
-from .scenario import Context, MeasurementScenario, load_scenario, scenario_from_dict, scenario_to_dict
+from .scenario import Context, MeasurementScenario, load_scenario, scenario_from_dict
 
 #: Default ceiling on the number of sections enumerated for one context.
 SECTION_LIMIT = 2**20
@@ -232,14 +231,13 @@ class CompatibilityReport:
     violations: tuple[CompatibilityViolation, ...]
 
 
-def check_compatibility(model: EmpiricalModel, atol: float | None = None) -> CompatibilityReport:
-    """Check marginal agreement on every non-empty cover overlap.
+def check_compatibility(model: EmpiricalModel) -> CompatibilityReport:
+    """Check marginal agreement on every non-empty cover overlap, up to
+    ``model.atol``.
 
     Failure is data, not an exception: violations carry the max-norm
     discrepancy per offending pair.
     """
-    if atol is None:
-        atol = model.atol
     cover = model.scenario.cover
     violations = []
     for i, j in itertools.combinations(range(len(cover)), 2):
@@ -249,7 +247,7 @@ def check_compatibility(model: EmpiricalModel, atol: float | None = None) -> Com
         mi = marginalize(model.table(cover[i]), overlap)
         mj = marginalize(model.table(cover[j]), overlap)
         disc = max(abs(mi[s] - mj[s]) for s in mi)
-        if disc > atol:
+        if disc > model.atol:
             violations.append(CompatibilityViolation((i, j), overlap, disc))
     return CompatibilityReport(not violations, tuple(violations))
 
@@ -280,15 +278,6 @@ def support_of(model: EmpiricalModel, threshold: Number | None = None) -> Suppor
     return SupportModel(model.scenario, supports)
 
 
-def deterministic_support(scenario: MeasurementScenario, assignment: Mapping[str, int]) -> SupportModel:
-    """Singleton supports obtained by restricting one global assignment."""
-    supports = {}
-    for ctx in scenario.cover:
-        outs = tuple(assignment[m] for m in ctx.members)
-        supports[ctx] = frozenset({LocalSection(ctx.members, outs)})
-    return SupportModel(scenario, supports)
-
-
 # ---------------------------------------------------------------------------
 # JSON model files:
 #   {"scenario": <inline object or path>, "mode": "rational"|"float",
@@ -296,13 +285,13 @@ def deterministic_support(scenario: MeasurementScenario, assignment: Mapping[str
 # Section keys concatenate outcomes in the order the context is written in
 # the file (comma-separated once any outcome needs more than one digit).
 
-def _parse_section_key(key: str, declared: tuple[str, ...], scenario: MeasurementScenario) -> tuple[int, ...]:
+def _parse_section_key(key: str, declared: list[str], scenario: MeasurementScenario) -> tuple[int, ...]:
     if "," in key:
         parts = key.split(",")
     else:
         parts = list(key)
     if len(parts) != len(declared):
-        raise ParseError(f"section key {key!r} does not match context {list(declared)}")
+        raise ParseError(f"section key {key!r} does not match context {declared}")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
@@ -340,7 +329,9 @@ def model_from_dict(data: dict, base_dir: Path | None = None) -> EmpiricalModel:
             raise ParseError(f"unknown table keys: {sorted(extra)}")
         if "context" not in entry or "probs" not in entry:
             raise ParseError("each table needs 'context' and 'probs'")
-        declared = tuple(entry["context"])
+        declared = entry["context"]
+        if not isinstance(declared, list) or not all(isinstance(m, str) for m in declared):
+            raise ParseError("each table's context must be a list of observable ids")
         ctx = scenario.context(declared)
         probs: dict[tuple[int, ...], object] = {}
         if not isinstance(entry["probs"], dict):
@@ -355,34 +346,3 @@ def model_from_dict(data: dict, base_dir: Path | None = None) -> EmpiricalModel:
     except (InvalidModel, OutcomeOutOfRange) as exc:
         raise ParseError(str(exc)) from exc
 
-
-def model_to_dict(model: EmpiricalModel) -> dict:
-    tables = []
-    for ctx in model.scenario.cover:
-        probs = {}
-        for sec, p in model.table(ctx).items():
-            if p == 0:
-                continue
-            probs[sec.label()] = str(p) if model.mode == "rational" else p
-        tables.append({"context": list(ctx.members), "probs": probs})
-    return {
-        "scenario": scenario_to_dict(model.scenario),
-        "mode": model.mode,
-        "tables": tables,
-    }
-
-
-def load_model(source: str | Path | dict) -> EmpiricalModel:
-    """Load an empirical model from a JSON file path or parsed dict."""
-    if isinstance(source, dict):
-        return model_from_dict(source)
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read model file {source}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {source}: {exc}") from exc
-    return model_from_dict(data, base_dir=path.parent)

@@ -220,17 +220,8 @@ def scenario_from_dict(data: dict) -> MeasurementScenario:
     return build_scenario(observables, raw_cover)
 
 
-def scenario_to_dict(scenario: MeasurementScenario) -> dict:
-    return {
-        "observables": [{"id": o.id, "arity": o.arity} for o in scenario.observables],
-        "cover": [list(c.members) for c in scenario.cover],
-    }
-
-
-def load_scenario(source: str | Path | dict) -> MeasurementScenario:
-    """Load a scenario from a JSON file path or an already-parsed dict."""
-    if isinstance(source, dict):
-        return scenario_from_dict(source)
+def load_scenario(source: str | Path) -> MeasurementScenario:
+    """Load a scenario from a JSON file."""
     try:
         text = Path(source).read_text()
     except OSError as exc:

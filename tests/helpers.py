@@ -12,10 +12,13 @@ the plain four-FFT split step.
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from sheafkit import dynamics, simplex
 from sheafkit.cohomology import Cochain0, FreeAbelianSection, fa_section
 from sheafkit.errors import SolverBudgetExceeded
 from sheafkit.intlinalg import ZMat, kernel_basis, smith_normal_form
+from sheafkit.presheaf import model_from_dict
 
 HALF = Fraction(1, 2)
 
@@ -155,9 +159,61 @@ def noisy_cycle_model(n: int, v: Fraction) -> sk.EmpiricalModel:
     return sk.build_model(scenario, tables)
 
 
+def deterministic_support(scenario: sk.MeasurementScenario,
+                          assignment: dict[str, int]) -> sk.SupportModel:
+    """Singleton supports: the restrictions of one global assignment."""
+    ids = scenario.observable_ids
+    g = sk.GlobalAssignment(ids, tuple(assignment[m] for m in ids))
+    return sk.support_of(sk.model_from_global_weights(scenario, {g: Fraction(1)}))
+
+
+def zmat(rows: Sequence[Sequence[int]], n: int | None = None) -> ZMat:
+    """An integer matrix from its rows; ``n`` gives the width of an empty one."""
+    rows = [list(r) for r in rows]
+    return ZMat(len(rows), len(rows[0]) if n is None else n, rows)
+
+
+# ---------------------------------------------------------------------------
+# The file formats of docs/formats.md, written and read back.
+
+
+def scenario_to_dict(scenario: sk.MeasurementScenario) -> dict:
+    return {
+        "observables": [{"id": o.id, "arity": o.arity} for o in scenario.observables],
+        "cover": [list(c.members) for c in scenario.cover],
+    }
+
+
+def model_to_dict(model: sk.EmpiricalModel) -> dict:
+    """A model file with an inline scenario and only the nonzero entries."""
+    tables = []
+    for ctx in model.scenario.cover:
+        probs = {
+            sec.label(): str(p) if model.mode == "rational" else p
+            for sec, p in model.table(ctx).items()
+            if p != 0
+        }
+        tables.append({"context": list(ctx.members), "probs": probs})
+    return {"scenario": scenario_to_dict(model.scenario), "mode": model.mode, "tables": tables}
+
+
+def read_model(path: Path) -> sk.EmpiricalModel:
+    """A model file; a scenario path inside it is relative to the file."""
+    return model_from_dict(json.loads(path.read_text()), base_dir=path.parent)
+
+
+def read_frame_dump(path: Path) -> list[np.ndarray]:
+    """The frames of an ``evolve --dump`` file, after checking its header."""
+    raw = path.read_bytes()
+    magic, version, n_points, count = struct.unpack("<4sIII", raw[:16])
+    assert (magic, version) == (b"SLAM", 1)
+    body = np.frombuffer(raw[16:], dtype="<f8")
+    return [body[i * n_points : (i + 1) * n_points].copy() for i in range(count)]
+
+
 def float_copy(model: sk.EmpiricalModel) -> dict:
     """The model's file form with every probability rounded to a float."""
-    data = sk.model_to_dict(model)
+    data = model_to_dict(model)
     data["mode"] = "float"
     for entry in data["tables"]:
         entry["probs"] = {k: float(Fraction(v)) for k, v in entry["probs"].items()}
@@ -344,24 +400,26 @@ def verify_fraction_certificate(model: sk.EmpiricalModel, report: sk.FractionRep
     assert dual_obj == report.noncontextual_fraction
 
 
-def verify_farkas_certificate(model: sk.EmpiricalModel, result: sk.NoncontextualityResult) -> None:
-    """The separating vector proves incidence.x = p, x >= 0 infeasible."""
-    assert result.separating is not None
-    incidence = result.incidence
+def verify_farkas_certificate(model: sk.EmpiricalModel, report: sk.FractionReport) -> None:
+    """y - 1/k, from the fraction dual y and k cover contexts, proves
+    incidence.x = p, x >= 0 infeasible."""
+    assert not report.noncontextual
+    incidence = report.incidence
     p = sk.gluing.probability_vector(model, incidence)
-    y = result.separating
+    k = len(model.scenario.cover)
+    y = [yi - Fraction(1, k) for yi in report.dual]
     for c in range(len(incidence.columns)):
         col = sum(y[r] * incidence.entries[r][c] for r in range(len(incidence.rows)))
         assert col >= 0
     assert sum(yi * pi for yi, pi in zip(y, p)) < 0
 
 
-def verify_global_distribution(model: sk.EmpiricalModel, result: sk.NoncontextualityResult) -> None:
-    """The distribution is nonnegative and reproduces every table exactly."""
-    assert result.distribution is not None
-    incidence = result.incidence
+def verify_global_distribution(model: sk.EmpiricalModel, report: sk.FractionReport) -> None:
+    """The weights are nonnegative and reproduce every table exactly."""
+    assert report.noncontextual
+    incidence = report.incidence
     p = sk.gluing.probability_vector(model, incidence)
-    x = [result.distribution.get(g, Fraction(0)) for g in incidence.columns]
+    x = report.weights
     assert all(w >= 0 for w in x)
     for r in range(len(incidence.rows)):
         assert sum(incidence.entries[r][c] * x[c] for c in range(len(x))) == p[r]

@@ -71,11 +71,35 @@ def test_check_missing_file(capsys):
     assert "error" in err
 
 
+_SCENARIO = {"observables": [{"id": "a1", "arity": 2}, {"id": "b1", "arity": 2}],
+             "cover": [["a1", "b1"]]}
+
+
+@pytest.mark.parametrize(
+    "data, argv",
+    [
+        ({"scenario": _SCENARIO, "tables": [{"context": 5, "probs": {"00": "1"}}]},
+         ["check"]),
+        ({"scenario": _SCENARIO, "tables": [{"context": [["a1"]], "probs": {"00": "1"}}]},
+         ["check"]),
+        ([1, 2], ["check", "--mode", "float"]),
+        ([1, 2], ["evolve", "--sigma", "0.5", "--map"]),
+    ],
+    ids=["context-int", "context-nested", "list-model-mode", "map-not-pairs"],
+)
+def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(argv + [str(path), "--no-timings"], capsys)
+    assert code == cli.EXIT_INVALID
+    assert err.startswith("error: ")
+
+
 def test_check_accepts_real_path(tmp_path, capsys):
-    from helpers import pr_box_model
+    from helpers import model_to_dict, pr_box_model
 
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(sk.model_to_dict(pr_box_model())))
+    path.write_text(json.dumps(model_to_dict(pr_box_model())))
     code, report, _ = run_json(["check", str(path), "--no-timings"], capsys)
     assert code == cli.EXIT_CONTEXTUAL
     assert report["inputs"]["model"]["fixture"] is None
@@ -97,6 +121,24 @@ def test_fraction_deterministic_zero(capsys):
     assert report["results"]["contextual_fraction"] == "0"
     assert report["results"]["noncontextual_fraction"] == "1"
     assert sum(eval_frac(w) for w in report["results"]["weights"].values()) == 1
+
+
+def test_fraction_reports_the_violations_check_reports(capsys):
+    for fmt in ("json", "text"):
+        reports = [
+            run_cli([sub, "signalling", "--no-timings", "--format", fmt], capsys)
+            for sub in ("check", "fraction")
+        ]
+        (check_code, check_out, _), (code, out, _) = reports
+        assert check_code == code == cli.EXIT_INVALID
+        if fmt == "text":
+            assert out == check_out == "incompatible model: 2 violation(s)\n"
+        else:
+            check_results = json.loads(check_out)["results"]
+            results = json.loads(out)["results"]
+            assert results == check_results
+            assert results["error"] == "incompatible model"
+            assert len(results["violations"]) == 2
 
 
 def test_fraction_exit_agrees_with_check_in_float_mode(tmp_path, capsys):
@@ -253,6 +295,8 @@ def test_evolve_harmonic_potential_and_window(capsys):
 
 
 def test_evolve_frame_dump(tmp_path, capsys):
+    from helpers import read_frame_dump
+
     dump = tmp_path / "frames.bin"
     code, _, _ = run_cli(
         [
@@ -270,7 +314,7 @@ def test_evolve_frame_dump(tmp_path, capsys):
     assert n_points == 512
     assert count == 3
     assert len(raw) == 16 + count * n_points * 8
-    frames = cli.read_frame_dump(dump)
+    frames = read_frame_dump(dump)
     assert len(frames) == count
     assert abs(frames[0].sum() * (16.0 / 512) - 1.0) < 1e-9
 

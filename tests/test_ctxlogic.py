@@ -29,6 +29,7 @@ from sheafkit.ctxlogic import (
 from sheafkit.errors import OutcomeOutOfRange, ParseError, UnknownObservable
 from helpers import (
     deterministic_model,
+    deterministic_support,
     random_scenario,
     triangle_anticorrelated_model,
     triangle_scenario,
@@ -280,7 +281,7 @@ def test_boolean_restoration_on_deterministic_models():
     for _ in range(30):
         sc = random_scenario(rng)
         assignment = {o: rng.randint(0, 1) for o in sc.observable_ids}
-        supp = sk.deterministic_support(sc, assignment)
+        supp = deterministic_support(sc, assignment)
         for ctx in sc.cover:
             obs = list(ctx.members)
             for _ in range(5):

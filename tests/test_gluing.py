@@ -6,6 +6,7 @@ import pytest
 import sheafkit as sk
 from sheafkit import simplex
 from sheafkit.errors import IncompatibleModel, SizeLimitExceeded
+from sheafkit.presheaf import model_from_dict
 from helpers import (
     HALF,
     bell_scenario,
@@ -13,6 +14,7 @@ from helpers import (
     brute_force_globals,
     deterministic_model,
     float_copy,
+    model_to_dict,
     noisy_cycle_model,
     pr_box_model,
     random_box_mixture,
@@ -169,9 +171,10 @@ def test_incidence_shapes_and_column_sums():
 
 
 def test_incidence_one_entry_per_context_per_column():
-    inc = sk.build_incidence(bell_scenario())
+    sc = bell_scenario()
+    inc = sk.build_incidence(sc)
     for j, g in enumerate(inc.columns):
-        for ci, ctx in enumerate(inc.scenario.cover):
+        for ci, ctx in enumerate(sc.cover):
             rows = [r for r, (i, _) in enumerate(inc.rows) if i == ci]
             assert sum(inc.entries[r][j] for r in rows) == 1
 
@@ -184,14 +187,14 @@ def test_projected_models_are_noncontextual_with_exact_preimage():
     for _ in range(20):
         sc = random_scenario(rng)
         model = random_global_model(rng, sc)
-        res = sk.is_noncontextual(model)
+        res = sk.contextual_fraction(model)
         assert res.noncontextual
         verify_global_distribution(model, res)
 
 
 def test_pr_box_not_noncontextual_with_farkas_certificate():
     model = pr_box_model()
-    res = sk.is_noncontextual(model)
+    res = sk.contextual_fraction(model)
     assert not res.noncontextual
     verify_farkas_certificate(model, res)
 
@@ -202,9 +205,9 @@ def test_uniform_independent_model_noncontextual():
     model = sk.build_model(
         sc, {c.members: {o: quarter for o in [(0, 0), (0, 1), (1, 0), (1, 1)]} for c in sc.cover}
     )
-    res = sk.is_noncontextual(model)
+    res = sk.contextual_fraction(model)
     assert res.noncontextual
-    assert sum(res.distribution.values()) == 1
+    assert sum(res.weights) == 1
 
 
 # --- contextual fraction --------------------------------------------------------
@@ -271,8 +274,7 @@ def test_fraction_zero_iff_noncontextual_random():
         sc = random_scenario(rng)
         model = random_global_model(rng, sc, sparse=True)
         report = sk.contextual_fraction(model)
-        res = sk.is_noncontextual(model)
-        assert (report.contextual_fraction == 0) == res.noncontextual
+        assert (report.contextual_fraction == 0) == report.noncontextual
         verify_fraction_certificate(model, report)
 
 
@@ -291,7 +293,7 @@ def test_float_fraction_agrees_with_rational_on_cycles():
     verdicts = []
     for model in models:
         exact = sk.contextual_fraction(model)
-        approx_model = sk.load_model(float_copy(model))
+        approx_model = model_from_dict(float_copy(model))
         approx = sk.contextual_fraction(approx_model)
         assert abs(approx.contextual_fraction - float(exact.contextual_fraction)) <= 1e-9
         assert approx.noncontextual == exact.noncontextual
@@ -310,7 +312,7 @@ def test_hierarchy_on_compatible_models():
     contextual = 0
     for model in models:
         verdict = sk.sheaf_check(sk.support_of(model))
-        lp = sk.is_noncontextual(model)
+        lp = sk.contextual_fraction(model)
         if verdict.strongly_contextual:
             assert verdict.logically_contextual
         if verdict.logically_contextual:
@@ -438,13 +440,12 @@ def test_simplex_random_lps_match_scipy():
 
 
 def test_float_mode_gluing():
-    data = sk.model_to_dict(pr_box_model())
+    data = model_to_dict(pr_box_model())
     data["mode"] = "float"
     for entry in data["tables"]:
         entry["probs"] = {k: 0.5 for k in entry["probs"]}
-    model = sk.load_model(data)
+    model = model_from_dict(data)
     assert model.mode == "float"
-    res = sk.is_noncontextual(model)
-    assert not res.noncontextual
     report = sk.contextual_fraction(model)
+    assert not report.noncontextual
     assert abs(report.contextual_fraction - 1.0) < 1e-7

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sheafkit.intlinalg import ZMat, kernel_basis, quotient_invariants, smith_normal_form
-from helpers import kernel_coordinate_invariants
+from helpers import kernel_coordinate_invariants, zmat
 
 
 def check_snf(mat: ZMat) -> None:
@@ -25,7 +25,7 @@ def check_snf(mat: ZMat) -> None:
 
 def test_snf_known_matrix():
     # classic example with torsion 2
-    mat = ZMat.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    mat = zmat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     nf = smith_normal_form(mat)
     assert nf.divisors == [2, 2, 156]
     check_snf(mat)
@@ -36,7 +36,7 @@ def test_snf_random_matrices():
     for _ in range(60):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        mat = ZMat.from_rows(
+        mat = zmat(
             [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)], n
         )
         check_snf(mat)
@@ -49,21 +49,21 @@ def test_snf_empty_shapes():
 
 
 def test_solve_solvable():
-    mat = ZMat.from_rows([[2, 0], [0, 3]])
+    mat = zmat([[2, 0], [0, 3]])
     x = smith_normal_form(mat).solve([4, 9])
     assert x is not None
     assert mat.matvec(x) == [4, 9]
 
 
 def test_solve_divisibility_failure():
-    mat = ZMat.from_rows([[2]])
+    mat = zmat([[2]])
     nf = smith_normal_form(mat)
     assert nf.solve([3]) is None
     assert nf.solve([4]) == [2]
 
 
 def test_solve_inconsistent():
-    mat = ZMat.from_rows([[1, 1], [1, 1]])
+    mat = zmat([[1, 1], [1, 1]])
     assert smith_normal_form(mat).solve([1, 2]) is None
 
 
@@ -71,7 +71,7 @@ def test_solve_random_roundtrip():
     rng = random.Random(7)
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        mat = ZMat.from_rows(
+        mat = zmat(
             [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], n
         )
         x0 = [rng.randint(-4, 4) for _ in range(n)]
@@ -83,7 +83,7 @@ def test_solve_random_roundtrip():
 
 def test_smith_form_solves_many_right_hand_sides():
     # one Smith form answers every b; unsolvable ones agree with the lattice
-    mat = ZMat.from_rows([[2, 0], [0, 3], [2, 3]])
+    mat = zmat([[2, 0], [0, 3], [2, 3]])
     nf = smith_normal_form(mat)
     for x0 in ([1, 0], [0, 1], [-2, 5]):
         b = mat.matvec(x0)
@@ -95,7 +95,7 @@ def test_smith_form_solves_many_right_hand_sides():
 
 
 def test_kernel_basis():
-    mat = ZMat.from_rows([[1, 1, 0], [0, 0, 2]])
+    mat = zmat([[1, 1, 0], [0, 0, 2]])
     basis = kernel_basis(smith_normal_form(mat))
     assert len(basis) == 1
     assert mat.matvec(basis[0]) == [0, 0]
@@ -106,7 +106,7 @@ def test_kernel_basis():
 def test_quotient_invariants_torsion():
     # Z^2 --(x2, x3 diag)--> Z^2 --0--> 0 : H = Z/2 + Z/3 = torsion [1? no]
     d_out = ZMat.zeros(0, 2)
-    d_in = ZMat.from_rows([[2, 0], [0, 3]])
+    d_in = zmat([[2, 0], [0, 3]])
     free, torsion = quotient_invariants(d_out, smith_normal_form(d_in))
     assert free == 0
     # smith normal form of diag(2,3) is diag(1,6)
@@ -115,7 +115,7 @@ def test_quotient_invariants_torsion():
 
 def test_quotient_invariants_free_part():
     d_out = ZMat.zeros(0, 3)
-    d_in = ZMat.from_rows([[2, 0], [0, 0], [0, 0]], 2)
+    d_in = zmat([[2, 0], [0, 0], [0, 0]], 2)
     free, torsion = quotient_invariants(d_out, smith_normal_form(d_in))
     assert free == 2
     assert torsion == [2]
@@ -124,8 +124,8 @@ def test_quotient_invariants_free_part():
 def test_quotient_with_nontrivial_kernel_coordinates():
     # ker(d_out) = {(x, y, z) : x + y + z = 0}; image of d_in is spanned by
     # (1, -1, 0) and (2, 0, -2): quotient is Z/2
-    d_out = ZMat.from_rows([[1, 1, 1]])
-    d_in = ZMat.from_rows([[1, 2], [-1, 0], [0, -2]], 2)
+    d_out = zmat([[1, 1, 1]])
+    d_in = zmat([[1, 2], [-1, 0], [0, -2]], 2)
     free, torsion = quotient_invariants(d_out, smith_normal_form(d_in))
     assert free == 0
     assert torsion == [2]
@@ -138,7 +138,7 @@ def test_quotient_matches_kernel_coordinates_on_random_complexes():
     torsion_cases = nonzero_d1 = both = 0
     for _ in range(150):
         m, n = rng.randint(1, 6), rng.randint(1, 5)
-        d0 = ZMat.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], n)
+        d0 = zmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], n)
         left = kernel_basis(smith_normal_form(ZMat(n, m, [list(col) for col in zip(*d0.a)])))
         rows = []
         for _ in range(rng.randint(0, 3)):

@@ -15,12 +15,16 @@ from sheafkit.errors import (
     ParseError,
     SizeLimitExceeded,
 )
+from sheafkit.presheaf import model_from_dict
 from helpers import (
     HALF,
     bell_scenario,
+    model_to_dict,
     pr_box_model,
     random_global_model,
     random_scenario,
+    read_model,
+    scenario_to_dict,
     triangle_scenario,
 )
 
@@ -242,10 +246,10 @@ def test_support_threshold_and_empty_support():
 
 def test_model_json_roundtrip(tmp_path):
     model = pr_box_model()
-    data = sk.model_to_dict(model)
+    data = model_to_dict(model)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
-    loaded = sk.load_model(path)
+    loaded = read_model(path)
     assert loaded.mode == "rational"
     assert loaded.scenario == model.scenario
     for ctx in model.scenario.cover:
@@ -254,14 +258,14 @@ def test_model_json_roundtrip(tmp_path):
 
 def test_model_file_with_scenario_path(tmp_path):
     sc = sk.build_scenario([("a", 2)], [["a"]])
-    (tmp_path / "scen.json").write_text(json.dumps(sk.scenario.scenario_to_dict(sc)))
+    (tmp_path / "scen.json").write_text(json.dumps(scenario_to_dict(sc)))
     model_data = {
         "scenario": "scen.json",
         "mode": "rational",
         "tables": [{"context": ["a"], "probs": {"0": "1/2", "1": "1/2"}}],
     }
     (tmp_path / "model.json").write_text(json.dumps(model_data))
-    model = sk.load_model(tmp_path / "model.json")
+    model = read_model(tmp_path / "model.json")
     assert model.scenario == sc
 
 
@@ -274,7 +278,7 @@ def test_model_key_order_follows_declared_context(tmp_path):
         },
         "tables": [{"context": ["b", "a"], "probs": {"01": "1"}}],
     }
-    model = sk.load_model(data)
+    model = model_from_dict(data)
     ctx = model.scenario.cover[0]
     point = sk.LocalSection(("a", "b"), (1, 0))  # b=0, a=1
     assert model.table(ctx)[point] == 1
@@ -290,16 +294,16 @@ def test_model_parser_rejections():
     }
     bad_top = dict(base, surprise=1)
     with pytest.raises(ParseError):
-        sk.load_model(bad_top)
+        model_from_dict(bad_top)
     bad_table = dict(base, tables=[{"context": ["a"], "probs": {"0": "1"}, "x": 1}])
     with pytest.raises(ParseError):
-        sk.load_model(bad_table)
+        model_from_dict(bad_table)
     bad_key = dict(base, tables=[{"context": ["a"], "probs": {"00": "1"}}])
     with pytest.raises(ParseError):
-        sk.load_model(bad_key)
+        model_from_dict(bad_key)
     bad_sum = dict(base, tables=[{"context": ["a"], "probs": {"0": "1/3"}}])
     with pytest.raises(ParseError):
-        sk.load_model(bad_sum)
+        model_from_dict(bad_sum)
 
 
 def test_model_float_mode_json():
@@ -311,7 +315,7 @@ def test_model_float_mode_json():
         "mode": "float",
         "tables": [{"context": ["a"], "probs": {"0": 0.25, "1": 0.75}}],
     }
-    model = sk.load_model(data)
+    model = model_from_dict(data)
     assert model.mode == "float"
     assert sk.check_compatibility(model).ok
 
@@ -324,6 +328,6 @@ def test_comma_separated_keys_for_wide_arity():
         },
         "tables": [{"context": ["a", "b"], "probs": {"11,1": "1"}}],
     }
-    model = sk.load_model(data)
+    model = model_from_dict(data)
     ctx = model.scenario.cover[0]
     assert model.table(ctx)[sk.LocalSection(("a", "b"), (11, 1))] == 1

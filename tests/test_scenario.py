@@ -11,7 +11,7 @@ from sheafkit.errors import (
     ParseError,
     UnknownObservable,
 )
-from helpers import bell_scenario, triangle_scenario
+from helpers import bell_scenario, scenario_to_dict, triangle_scenario
 
 
 def test_triangle_scenario_builds():
@@ -113,7 +113,7 @@ def test_nerve_edges_equal_pairwise_intersections():
 
 def test_scenario_json_roundtrip(tmp_path):
     sc = bell_scenario()
-    data = sk.scenario.scenario_to_dict(sc)
+    data = scenario_to_dict(sc)
     path = tmp_path / "scenario.json"
     path.write_text(__import__("json").dumps(data))
     loaded = sk.load_scenario(path)
