@@ -61,12 +61,10 @@ from .errors import (
 from .gluing import (
     ContextualityVerdict,
     FractionReport,
-    GlobalAssignment,
     IncidenceMatrix,
     build_incidence,
     classify_contextuality,
     contextual_fraction,
-    enumerate_globals,
     model_from_global_weights,
     sheaf_check,
 )

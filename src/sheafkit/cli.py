@@ -306,6 +306,8 @@ def _parse_potential(spec: str, grid: Grid) -> np.ndarray | None:
     path = Path(spec)
     if path.exists():
         values = json.loads(path.read_text())
+        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+            raise SheafkitError(f"bad --potential {spec!r}; expected a JSON list of numbers")
         return np.asarray(values, dtype=float)
     raise SheafkitError(f"bad --potential {spec!r}; expected free, harmonic:k, or a file")
 

@@ -106,11 +106,9 @@ class CoboundaryMatrices:
         return [(b, smith_normal_form(p)) for b, p in zip(blocks, projected)]
 
 
-def _sorted_support(support_model: SupportModel, ctx: Context) -> list[LocalSection]:
-    return sorted(support_model.support(ctx), key=lambda s: s.outcomes)
-
-
-def _restricted_basis(sections_by_vertex: list[list[LocalSection]], target: Context) -> list[LocalSection]:
+def _restricted_basis(
+    sections_by_vertex: list[tuple[LocalSection, ...]], target: Context
+) -> list[LocalSection]:
     seen = {restrict(s, target) for group in sections_by_vertex for s in group}
     return sorted(seen, key=lambda s: s.outcomes)
 
@@ -124,7 +122,7 @@ def build_coboundary_matrices(
     when the invariants are computed.  ``limit`` bounds both matrices.
     """
     nerve = build_nerve(support_model.scenario)
-    supp = [_sorted_support(support_model, ctx) for ctx in nerve.vertices]
+    supp = [support_model.support(ctx) for ctx in nerve.vertices]
 
     vertex_basis: list[tuple[int, LocalSection]] = []
     for vi in range(len(nerve.vertices)):
@@ -278,6 +276,6 @@ def obstruction_report(
     entries = tuple(
         obstruction(support_model, ci, section, matrices)
         for ci, ctx in enumerate(support_model.scenario.cover)
-        for section in _sorted_support(support_model, ctx)
+        for section in support_model.support(ctx)
     )
     return ObstructionReport(entries, cech_invariants(support_model, matrices))

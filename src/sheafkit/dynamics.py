@@ -255,6 +255,8 @@ def _fields(
 
 
 def check_timestep(dt: float, grid: Grid, params: PhysicalParams) -> None:
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     bound = STABILITY_FACTOR * grid.dx**2 * params.mass / params.hbar
     if dt > bound:
         raise StabilityViolation(f"dt={dt} exceeds stability bound {bound:.3e}")
@@ -373,6 +375,8 @@ def evolve(
     """
     check_timestep(dt, grid, params)
     _check_state(initial, grid)
+    if not 0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     n_steps = int(round(t_final / dt))

@@ -16,10 +16,9 @@ noncontextual fraction is 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from . import simplex
 from .errors import IncompatibleModel, SizeLimitExceeded
@@ -30,6 +29,8 @@ from .presheaf import (
     build_model,
     check_compatibility,
     enumerate_sections,
+    restrict,
+    section_count,
     support_of,
 )
 from .scenario import Context, MeasurementScenario
@@ -42,38 +43,12 @@ GLOBAL_LIMIT = 2**24
 NODE_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class GlobalAssignment:
-    """An outcome for every observable, in scenario order."""
-
-    members: tuple[str, ...]
-    outcomes: tuple[int, ...]
-
-    def restrict(self, context: Context) -> LocalSection:
-        by_id = dict(zip(self.members, self.outcomes))
-        return LocalSection(context.members, tuple(by_id[m] for m in context.members))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.members, self.outcomes))
-
-
-def global_count(scenario: MeasurementScenario) -> int:
-    n = 1
-    for o in scenario.observables:
-        n *= o.arity
-    return n
-
-
-def enumerate_globals(
-    scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT
-) -> Iterator[GlobalAssignment]:
-    """Yield all global assignments in lexicographic outcome order."""
-    if global_count(scenario) > limit:
+def _globals(scenario: MeasurementScenario, limit: int) -> list[LocalSection]:
+    """The global assignments: sections over all observables, in scenario order."""
+    everything = Context(scenario.observable_ids)
+    if section_count(everything, scenario) > limit:
         raise SizeLimitExceeded(f"more than {limit} global assignments")
-    ids = scenario.observable_ids
-    ranges = [range(o.arity) for o in scenario.observables]
-    for outs in itertools.product(*ranges):
-        yield GlobalAssignment(ids, outs)
+    return enumerate_sections(everything, scenario, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +70,7 @@ class ContextualityVerdict:
     logically_contextual: bool
     strongly_contextual: bool
     nonextendable_section: tuple[int, LocalSection] | None
-    global_support_section: GlobalAssignment | None
+    global_support_section: LocalSection | None
     global_section_unique: bool | None
 
 
@@ -117,8 +92,7 @@ class _Backtracker:
             scenario.observable_ids, key=lambda o: (-degree[o], scenario.index(o))
         )
         self.contexts = [
-            (ctx.members, [s.outcomes for s in sorted(support_model.support(ctx),
-                                                      key=lambda s: s.outcomes)])
+            (ctx.members, [s.outcomes for s in support_model.support(ctx)])
             for ctx in scenario.cover
         ]
 
@@ -131,8 +105,8 @@ class _Backtracker:
                 return False
         return True
 
-    def search(self, fixed: Mapping[str, int], max_solutions: int) -> list[GlobalAssignment]:
-        solutions: list[GlobalAssignment] = []
+    def search(self, fixed: Mapping[str, int], max_solutions: int) -> list[LocalSection]:
+        solutions: list[LocalSection] = []
         asg = dict(fixed)
         todo = [o for o in self.order if o not in fixed]
         if not self._consistent(asg):
@@ -144,7 +118,7 @@ class _Backtracker:
                 raise SizeLimitExceeded(f"backtracking exceeded {self.node_budget} nodes")
             if depth == len(todo):
                 ids = self.scenario.observable_ids
-                solutions.append(GlobalAssignment(ids, tuple(asg[m] for m in ids)))
+                solutions.append(LocalSection(ids, tuple(asg[m] for m in ids)))
                 return len(solutions) >= max_solutions
             obs = todo[depth]
             for value in range(self.scenario.arity(obs)):
@@ -172,7 +146,7 @@ def sheaf_check(support_model: SupportModel, node_budget: int = NODE_BUDGET) -> 
 
     nonextendable: tuple[int, LocalSection] | None = None
     for ci, ctx in enumerate(support_model.scenario.cover):
-        for section in sorted(support_model.support(ctx), key=lambda s: s.outcomes):
+        for section in support_model.support(ctx):
             if strongly:
                 nonextendable = (ci, section)
                 break
@@ -201,18 +175,19 @@ def sheaf_check(support_model: SupportModel, node_budget: int = NODE_BUDGET) -> 
 class IncidenceMatrix:
     """0/1 matrix pairing (cover context, section) rows with global columns.
 
-    Every column holds exactly one 1 per cover context: the row of the
-    section that the column's global assignment restricts to.
+    Each column is a global assignment, a section over all observables.  It
+    holds exactly one 1 per cover context: the row of the section that the
+    column restricts to.
     """
 
     rows: tuple[tuple[int, LocalSection], ...]
-    columns: tuple[GlobalAssignment, ...]
+    columns: tuple[LocalSection, ...]
     entries: tuple[tuple[int, ...], ...]
 
 
 def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) -> IncidenceMatrix:
     """Materialize the gluing-condition matrix for a scenario."""
-    columns = tuple(enumerate_globals(scenario, limit))
+    columns = tuple(_globals(scenario, limit))
     rows: list[tuple[int, LocalSection]] = []
     for ci, ctx in enumerate(scenario.cover):
         rows.extend((ci, s) for s in enumerate_sections(ctx, scenario))
@@ -220,7 +195,7 @@ def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) ->
     entries = [[0] * len(columns) for _ in rows]
     for gi, g in enumerate(columns):
         for ci, ctx in enumerate(scenario.cover):
-            entries[row_pos[(ci, g.restrict(ctx))]][gi] = 1
+            entries[row_pos[(ci, restrict(g, ctx))]][gi] = 1
     return IncidenceMatrix(tuple(rows), columns, tuple(tuple(r) for r in entries))
 
 
@@ -313,22 +288,23 @@ def classify_contextuality(
 
 def model_from_global_weights(
     scenario: MeasurementScenario,
-    weights: Mapping[GlobalAssignment, Number] | Sequence[Number],
+    weights: Mapping[LocalSection, Number] | Sequence[Number],
     mode: str = "rational",
 ) -> EmpiricalModel:
     """Project a distribution on global assignments to cover tables.
 
-    Models built this way are compatible and noncontextual by construction,
-    which makes this the canonical generator for round-trip tests.
+    ``weights`` maps global sections to their weight, or lists the weights
+    in the order of :attr:`IncidenceMatrix.columns`.  Models built this way
+    are compatible and noncontextual by construction, which makes this the
+    canonical generator for round-trip tests.
     """
-    columns = tuple(enumerate_globals(scenario))
     if not isinstance(weights, Mapping):
-        weights = dict(zip(columns, weights))
+        weights = dict(zip(_globals(scenario, GLOBAL_LIMIT), weights))
     tables: dict[Context, dict[LocalSection, Number]] = {}
     for ctx in scenario.cover:
         dist: dict[LocalSection, Number] = {}
         for g, w in weights.items():
-            sec = g.restrict(ctx)
+            sec = restrict(g, ctx)
             dist[sec] = dist.get(sec, 0) + w
         tables[ctx] = dist
     return build_model(scenario, tables, mode)

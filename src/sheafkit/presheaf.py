@@ -15,6 +15,7 @@ measured data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -58,9 +59,6 @@ class LocalSection:
     def as_dict(self) -> dict[str, int]:
         return dict(zip(self.members, self.outcomes))
 
-    def restrict(self, subcontext: Context | Iterable[str]) -> "LocalSection":
-        return restrict(self, subcontext)
-
     def label(self) -> str:
         """Section key: concatenated digits, comma-joined above one digit."""
         if all(o < 10 for o in self.outcomes):
@@ -75,12 +73,13 @@ def _member_tuple(context: Context | Iterable[str]) -> tuple[str, ...]:
 def restrict(section: LocalSection, subcontext: Context | Iterable[str]) -> LocalSection:
     """Project a section onto a subcontext; identity on the full domain."""
     wanted = set(_member_tuple(subcontext))
-    if not wanted <= set(section.members):
+    pairs = [(m, o) for m, o in zip(section.members, section.outcomes) if m in wanted]
+    if len(pairs) != len(wanted):
         raise NotASubcontext(
             f"{sorted(wanted)} is not contained in section domain {list(section.members)}"
         )
-    pairs = [(m, o) for m, o in zip(section.members, section.outcomes) if m in wanted]
-    return LocalSection(tuple(m for m, _ in pairs), tuple(o for _, o in pairs))
+    members, outcomes = zip(*pairs) if pairs else ((), ())
+    return LocalSection(members, outcomes)
 
 
 def section_count(context: Context, scenario: MeasurementScenario) -> int:
@@ -136,9 +135,12 @@ def _coerce(value: object, mode: str) -> Number:
             raise InvalidModel(f"cannot read {value!r} as a rational") from exc
     try:
         # accept "p/q" strings too, so rational files can be re-read as float
-        return float(Fraction(value)) if isinstance(value, str) else float(value)  # type: ignore[arg-type]
-    except (ValueError, TypeError) as exc:
+        number = float(Fraction(value)) if isinstance(value, str) else float(value)  # type: ignore[arg-type]
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidModel(f"cannot read {value!r} as a float") from exc
+    if not math.isfinite(number):
+        raise InvalidModel(f"probability {value!r} is not finite")
+    return number
 
 
 def build_model(
@@ -254,12 +256,18 @@ def check_compatibility(model: EmpiricalModel) -> CompatibilityReport:
 
 @dataclass(frozen=True)
 class SupportModel:
-    """Per-cover-context sets of possible (above-threshold) sections."""
+    """Per-cover-context possible (above-threshold) sections, each support
+    held as a duplicate-free tuple in lexicographic outcome order."""
 
     scenario: MeasurementScenario
-    supports: Mapping[Context, frozenset[LocalSection]]
+    supports: Mapping[Context, tuple[LocalSection, ...]]
 
-    def support(self, context: Context) -> frozenset[LocalSection]:
+    def __post_init__(self) -> None:
+        ordered = {c: tuple(sorted(set(s), key=lambda sec: sec.outcomes))
+                   for c, s in self.supports.items()}
+        object.__setattr__(self, "supports", ordered)
+
+    def support(self, context: Context) -> tuple[LocalSection, ...]:
         return self.supports[context]
 
 
@@ -271,7 +279,7 @@ def support_of(model: EmpiricalModel, threshold: Number | None = None) -> Suppor
         raise InvalidModel(f"support threshold must be >= 0, got {threshold!r}")
     supports = {}
     for ctx in model.scenario.cover:
-        supp = frozenset(s for s, p in model.table(ctx).items() if p > threshold)
+        supp = [s for s, p in model.table(ctx).items() if p > threshold]
         if not supp:
             raise EmptySupport(f"context {ctx.label()} has empty support")
         supports[ctx] = supp

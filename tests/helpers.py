@@ -104,7 +104,7 @@ def random_global_model(
     rng: random.Random, scenario: sk.MeasurementScenario, sparse: bool = False
 ) -> sk.EmpiricalModel:
     """Project a random rational global distribution; noncontextual by build."""
-    columns = list(sk.enumerate_globals(scenario))
+    columns = sk.build_incidence(scenario).columns
     weights = [
         Fraction(0) if (sparse and rng.random() < 0.5) else Fraction(rng.randint(0, 8))
         for _ in columns
@@ -163,7 +163,7 @@ def deterministic_support(scenario: sk.MeasurementScenario,
                           assignment: dict[str, int]) -> sk.SupportModel:
     """Singleton supports: the restrictions of one global assignment."""
     ids = scenario.observable_ids
-    g = sk.GlobalAssignment(ids, tuple(assignment[m] for m in ids))
+    g = sk.LocalSection(ids, tuple(assignment[m] for m in ids))
     return sk.support_of(sk.model_from_global_weights(scenario, {g: Fraction(1)}))
 
 
@@ -239,8 +239,8 @@ def _supports_compatible(scenario, supports) -> bool:
         overlap = ca.intersect(cb)
         if not overlap.members:
             continue
-        ra = {s.restrict(overlap) for s in supports[ca]}
-        rb = {s.restrict(overlap) for s in supports[cb]}
+        ra = {sk.restrict(s, overlap) for s in supports[ca]}
+        rb = {sk.restrict(s, overlap) for s in supports[cb]}
         if ra != rb:
             return False
     return True

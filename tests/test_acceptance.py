@@ -120,7 +120,7 @@ def test_criterion_3_cohomology_soundness():
             models += 1
             mats = build_coboundary_matrices(supp)
             for ci, ctx in enumerate(sc.cover):
-                for section in sorted(supp.support(ctx), key=lambda s: s.outcomes):
+                for section in supp.support(ctx):
                     if brute_force_extends(supp, ci, section):
                         extendable_checked += 1
                         if not obstruction(supp, ci, section, mats).vanishes:

@@ -75,6 +75,11 @@ _SCENARIO = {"observables": [{"id": "a1", "arity": 2}, {"id": "b1", "arity": 2}]
              "cover": [["a1", "b1"]]}
 
 
+def _float_model(probs):
+    return {"scenario": _SCENARIO, "mode": "float",
+            "tables": [{"context": ["a1", "b1"], "probs": probs}]}
+
+
 @pytest.mark.parametrize(
     "data, argv",
     [
@@ -84,8 +89,13 @@ _SCENARIO = {"observables": [{"id": "a1", "arity": 2}, {"id": "b1", "arity": 2}]
          ["check"]),
         ([1, 2], ["check", "--mode", "float"]),
         ([1, 2], ["evolve", "--sigma", "0.5", "--map"]),
+        (_float_model({"00": float("nan"), "11": 1.0}), ["fraction"]),
+        (_float_model({"00": float("inf")}), ["check"]),
+        (_float_model({"00": "1e999"}), ["check"]),
+        ({"a": 1}, ["evolve", "--lambda", "1", "--potential"]),
     ],
-    ids=["context-int", "context-nested", "list-model-mode", "map-not-pairs"],
+    ids=["context-int", "context-nested", "list-model-mode", "map-not-pairs",
+         "float-nan", "float-infinity", "float-overflow", "potential-object"],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
     path = tmp_path / "input.json"
@@ -345,6 +355,15 @@ def test_evolve_unstable_dt_exits_invalid(capsys):
     )
     assert code == cli.EXIT_INVALID
     assert "stability" in err
+
+
+@pytest.mark.parametrize("argv", [["--dt", "0"], ["--dt=-1e-3"], ["--t-final", "-1"]])
+def test_evolve_rejects_nonpositive_step_and_negative_duration(capsys, argv):
+    code, out, err = run_cli(["evolve", "--lambda", "1", "--initial", "gaussian:0,0.5"] + argv,
+                             capsys)
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_evolve_bad_initial(capsys):

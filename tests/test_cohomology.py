@@ -254,7 +254,7 @@ def test_nonvanishing_verdicts_confirmed_by_rational_infeasibility():
         supp = sk.support_of(model)
         mats = build_coboundary_matrices(supp)
         for ci, ctx in enumerate(supp.scenario.cover):
-            for section in sorted(supp.support(ctx), key=lambda s: s.outcomes):
+            for section in supp.support(ctx):
                 fixed = mats.vertex_basis.index((ci, section))
                 free = [c for c, (vi, _) in enumerate(mats.vertex_basis) if vi != ci]
                 a = [[F(mats.d0.a[r][c]) for c in free] for r in range(mats.d0.m)]

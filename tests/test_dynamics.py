@@ -139,6 +139,8 @@ def test_stability_bound_enforced():
         sk.step(st, bad_dt, p, g)
     with pytest.raises(StabilityViolation):
         sk.evolve(st, p, g, t_final=0.1, dt=bad_dt)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        sk.step(st, 0.0, p, g)
 
 
 def test_step_advances_and_conserves_norm():

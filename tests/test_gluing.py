@@ -31,27 +31,29 @@ from helpers import (
 F = Fraction
 
 
-# --- global enumeration -----------------------------------------------------
+# --- global assignments: the incidence columns --------------------------------
 
 
-def test_enumerate_globals_counts():
+def test_incidence_columns_count_global_assignments():
     two = sk.build_scenario([("a", 2), ("b", 2)], [["a", "b"]])
-    assert len(list(sk.enumerate_globals(two))) == 4
-    assert len(list(sk.enumerate_globals(triangle_scenario()))) == 8
-    assert len(list(sk.enumerate_globals(bell_scenario()))) == 16
+    assert len(sk.build_incidence(two).columns) == 4
+    assert len(sk.build_incidence(triangle_scenario()).columns) == 8
+    assert len(sk.build_incidence(bell_scenario()).columns) == 16
 
 
-def test_enumerate_globals_lex_and_unique():
+def test_incidence_columns_lex_and_unique():
     sc = triangle_scenario()
-    outs = [g.outcomes for g in sk.enumerate_globals(sc)]
+    columns = sk.build_incidence(sc).columns
+    assert all(g.members == sc.observable_ids for g in columns)
+    outs = [g.outcomes for g in columns]
     assert outs == sorted(outs)
     assert len(set(outs)) == len(outs)
 
 
-def test_enumerate_globals_limit():
+def test_incidence_columns_limit():
     sc = sk.build_scenario([(f"o{i}", 2) for i in range(8)], [[f"o{i}" for i in range(8)]])
-    with pytest.raises(SizeLimitExceeded):
-        list(sk.enumerate_globals(sc, limit=100))
+    with pytest.raises(SizeLimitExceeded, match="global assignments"):
+        sk.build_incidence(sc, limit=100)
 
 
 # --- sheaf condition on supports ---------------------------------------------

@@ -230,6 +230,14 @@ def test_uniform_full_support_and_deterministic_singletons():
     assert all(len(dsupp.support(c)) == 1 for c in sc.cover)
 
 
+def test_support_model_orders_sections_lexicographically():
+    sc = bell_scenario()
+    supp = sk.SupportModel(sc, {c: set(sk.enumerate_sections(c, sc)) for c in sc.cover})
+    for ctx in sc.cover:
+        assert isinstance(supp.support(ctx), tuple)
+        assert [s.outcomes for s in supp.support(ctx)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 def test_support_threshold_and_empty_support():
     sc = sk.build_scenario([("a", 2)], [["a"]])
     model = sk.build_model(sc, {("a",): {(0,): HALF, (1,): HALF}})
