@@ -294,6 +294,11 @@ def _parse_initial(spec: str, grid: Grid, params) -> LambdaState:
     )
 
 
+def _is_number(value: object) -> bool:
+    """A JSON number; JSON's true and false are bools, which Python counts as ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_potential(spec: str, grid: Grid) -> np.ndarray | None:
     import numpy as np
 
@@ -306,7 +311,7 @@ def _parse_potential(spec: str, grid: Grid) -> np.ndarray | None:
     path = Path(spec)
     if path.exists():
         values = json.loads(path.read_text())
-        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        if not isinstance(values, list) or not all(_is_number(v) for v in values):
             raise SheafkitError(f"bad --potential {spec!r}; expected a JSON list of numbers")
         return np.asarray(values, dtype=float)
     raise SheafkitError(f"bad --potential {spec!r}; expected free, harmonic:k, or a file")
@@ -315,7 +320,7 @@ def _parse_potential(spec: str, grid: Grid) -> np.ndarray | None:
 def _parse_map(path: str) -> list[tuple[float, float]]:
     table = json.loads(Path(path).read_text())
     if not isinstance(table, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(v, (int, float)) for v in p)
+        isinstance(p, list) and len(p) == 2 and all(_is_number(v) for v in p)
         for p in table
     ):
         raise SheafkitError(f"bad --map {path!r}; expected a JSON [[sigma,lambda],...] table")
@@ -393,10 +398,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         ],
     }
     report = make_report(args, "evolve", {}, results, started)
-    if args.format == "json":
-        emit(args, report)
-    else:
-        emit(args, report, text=csv_text)
+    emit(args, report, text=csv_text)
     return EXIT_OK
 
 
@@ -414,55 +416,56 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 # Argument parsing.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["rational", "float"], default=None,
-                        help="override the model's numeric mode")
-    common.add_argument("--output", default=None, help="write the report to a file")
-    common.add_argument("--seed", type=int, default=None,
+def _add_report_options(parser: argparse.ArgumentParser, formats: tuple[str, str]) -> None:
+    """--format (the first name is the default) and the report's own options."""
+    parser.add_argument("--format", choices=formats, default=formats[0])
+    parser.add_argument("--output", default=None, help="write the report to a file")
+    parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in the report for reproducibility")
-    common.add_argument("--no-timings", action="store_true",
+    parser.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock timings (byte-identical reruns)")
-    common.add_argument("--budget-globals", type=int, default=GLOBAL_LIMIT)
-    common.add_argument("--budget-nodes", type=int, default=NODE_BUDGET)
-    common.add_argument("--budget-pivots", type=int, default=PIVOT_BUDGET)
-    common.add_argument("--budget-matrix", type=int, default=MATRIX_LIMIT)
 
+
+def _add_model_command(sub, name: str, func, summary: str, formats: tuple[str, str],
+                       **budgets: int) -> argparse.ArgumentParser:
+    """A subcommand that reads one model; ``budgets`` maps each --budget-* it
+    consults to its default."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("model")
+    parser.add_argument("--mode", choices=["rational", "float"], default=None,
+                        help="override the model's numeric mode")
+    _add_report_options(parser, formats)
+    for budget, default in budgets.items():
+        parser.add_argument(f"--budget-{budget}", type=int, default=default)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sheafkit", description="contextuality analysis toolkit"
     )
     parser.add_argument("--version", action="version", version=f"sheafkit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_check = sub.add_parser("check", parents=[common],
-                             help="compatibility, gluing, and noncontextuality checks")
-    p_check.add_argument("model")
-    p_check.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p_check.set_defaults(func=cmd_check)
-
-    p_fraction = sub.add_parser("fraction", parents=[common],
-                                help="noncontextual/contextual fraction (exact LP)")
-    p_fraction.add_argument("model")
-    p_fraction.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p_fraction.set_defaults(func=cmd_fraction)
-
-    p_coh = sub.add_parser("cohomology", parents=[common],
-                           help="per-section obstruction verdicts and invariants")
-    p_coh.add_argument("model")
-    p_coh.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p_coh.set_defaults(func=cmd_cohomology)
-
-    p_logic = sub.add_parser("logic", parents=[common],
-                             help="seven-valued classification of a proposition")
-    p_logic.add_argument("model")
-    p_logic.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    _add_model_command(sub, "check", cmd_check,
+                       "compatibility, gluing, and noncontextuality checks",
+                       ("json", "text"), globals=GLOBAL_LIMIT, nodes=NODE_BUDGET,
+                       pivots=PIVOT_BUDGET)
+    _add_model_command(sub, "fraction", cmd_fraction,
+                       "noncontextual/contextual fraction (exact LP)",
+                       ("json", "text"), globals=GLOBAL_LIMIT, pivots=PIVOT_BUDGET)
+    _add_model_command(sub, "cohomology", cmd_cohomology,
+                       "per-section obstruction verdicts and invariants",
+                       ("json", "csv"), matrix=MATRIX_LIMIT)
+    p_logic = _add_model_command(sub, "logic", cmd_logic,
+                                 "seven-valued classification of a proposition",
+                                 ("json", "text"))
     p_logic.add_argument("--prop", required=True,
                          help="proposition, e.g. '(x=0 & y=0) | (x=1 & y=1)'")
-    p_logic.set_defaults(func=cmd_logic)
 
-    p_evolve = sub.add_parser("evolve", parents=[common],
-                              help="integrate the lambda-interpolated dynamics")
-    p_evolve.add_argument("--format", choices=["json", "csv", "text"], default="csv")
+    p_evolve = sub.add_parser("evolve", help="integrate the lambda-interpolated dynamics")
+    _add_report_options(p_evolve, ("csv", "json"))
     p_evolve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_evolve.add_argument("--sigma", type=float, default=None,
                           help="pick lambda by the sigma map at the run's hbar; hbar stays")

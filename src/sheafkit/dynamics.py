@@ -64,8 +64,8 @@ class Grid:
         n = self.n_points
         if n < 64 or n & (n - 1):
             raise ValueError(f"n_points must be a power of two >= 64, got {n}")
-        if self.length <= 0:
-            raise ValueError("grid length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"grid length must be finite and positive, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -104,8 +104,8 @@ def physical_params(
     potential: np.ndarray | None = None,
 ) -> PhysicalParams:
     """Validated constructor enforcing hbar = mass * sigma when both appear."""
-    if mass <= 0:
-        raise ValueError("mass must be positive")
+    if not 0 < mass < math.inf:
+        raise ValueError(f"mass must be finite and positive, got {mass}")
     if sigma is not None and sigma < 0:
         raise ValueError("sigma must be >= 0")
     if hbar is None:
@@ -114,8 +114,8 @@ def physical_params(
         raise ValueError(
             f"hbar={hbar} conflicts with mass*sigma={mass * sigma}; they must agree"
         )
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and positive, got {hbar}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if potential is None:
@@ -124,6 +124,8 @@ def physical_params(
         potential = np.asarray(potential, dtype=float)
         if potential.shape != (grid.n_points,):
             raise ValueError("potential must be sampled on the grid")
+        if not np.isfinite(potential).all():
+            raise ValueError("potential must be finite")
     return PhysicalParams(hbar, mass, lam, potential)
 
 
@@ -281,8 +283,10 @@ def _collapse_guard(baseline: float, rho: np.ndarray) -> None:
 
 
 def _check_state(state: LambdaState, grid: Grid) -> None:
+    if not (np.isfinite(state.rho).all() and np.isfinite(state.s).all()):
+        raise ValueError("state density and phase must be finite")
     total = float(np.asarray(state.rho).sum() * grid.dx)
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise ValueError(f"state density integrates to {total!r}, not 1")
     if np.any(np.asarray(state.rho) < 0):
         raise ValueError("state density must be non-negative")

@@ -6,11 +6,12 @@ when some supported section extends to no such assignment.  At the
 probabilistic level a model is noncontextual when a distribution over global
 assignments reproduces every table; the noncontextual fraction generalizes
 this to the maximal explainable subdistribution, computed exactly by the
-revised simplex of :mod:`sheafkit.simplex`.  The LP's matrix is the 0/1
-incidence, handed over as is: the solver reads each global assignment's
-column once as its k unit entries (one per context), prices it as a sum of k
-dual entries under Bland's rule, and never builds a dense tableau.  That one
-LP decides noncontextuality too: a model is noncontextual exactly when its
+revised simplex of :mod:`sheafkit.simplex`.  The LP is max sum(x) subject
+to M x <= p, x >= 0, with M the 0/1 incidence of global assignments against
+context sections and unit costs.  M exists only as its columns: each global
+assignment is the k rows it restricts to, one per context, which the solver
+prices as a sum of k dual entries under Bland's rule.  That one LP decides
+noncontextuality too: a model is noncontextual exactly when its
 noncontextual fraction is 1.
 """
 
@@ -176,27 +177,27 @@ class IncidenceMatrix:
     """0/1 matrix pairing (cover context, section) rows with global columns.
 
     Each column is a global assignment, a section over all observables.  It
-    holds exactly one 1 per cover context: the row of the section that the
-    column restricts to.
+    holds exactly one 1 per cover context, in the row of the section that the
+    column restricts to; ``column_rows[j]`` lists those k rows in cover order.
     """
 
     rows: tuple[tuple[int, LocalSection], ...]
     columns: tuple[LocalSection, ...]
-    entries: tuple[tuple[int, ...], ...]
+    column_rows: tuple[tuple[int, ...], ...]
 
 
 def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) -> IncidenceMatrix:
-    """Materialize the gluing-condition matrix for a scenario."""
+    """The gluing-condition matrix of a scenario, as the rows of each column."""
     columns = tuple(_globals(scenario, limit))
     rows: list[tuple[int, LocalSection]] = []
+    per_context = []
     for ci, ctx in enumerate(scenario.cover):
-        rows.extend((ci, s) for s in enumerate_sections(ctx, scenario))
-    row_pos = {key: r for r, key in enumerate(rows)}
-    entries = [[0] * len(columns) for _ in rows]
-    for gi, g in enumerate(columns):
-        for ci, ctx in enumerate(scenario.cover):
-            entries[row_pos[(ci, restrict(g, ctx))]][gi] = 1
-    return IncidenceMatrix(tuple(rows), columns, tuple(tuple(r) for r in entries))
+        first = len(rows)
+        sections = enumerate_sections(ctx, scenario)
+        rows.extend((ci, s) for s in sections)
+        row_of = {s: first + r for r, s in enumerate(sections)}
+        per_context.append([row_of[restrict(g, ctx)] for g in columns])
+    return IncidenceMatrix(tuple(rows), columns, tuple(zip(*per_context)))
 
 
 def probability_vector(model: EmpiricalModel, incidence: IncidenceMatrix) -> list[Number]:
@@ -242,10 +243,7 @@ def contextual_fraction(
     dominated by the model (incidence . x <= p, x >= 0)."""
     incidence = build_incidence(model.scenario, limit)
     p = probability_vector(model, incidence)
-    one = Fraction(1) if model.mode == "rational" else 1.0
-    c = [one] * len(incidence.columns)
-    result = simplex.maximize_leq(c, incidence.entries, p, model.mode, budget)
-    assert result.status == "optimal" and result.x is not None and result.dual is not None
+    result = simplex.maximize_leq(incidence.column_rows, p, model.mode, budget)
     ncf, weights = result.objective, result.x
     # every incidence column has k ones, so sum(incidence . x) = k * NCF
     unexplained = sum(p) - len(model.scenario.cover) * ncf
@@ -255,6 +253,7 @@ def contextual_fraction(
         # below the tolerance the sign of CF and the weights is round-off
         ncf = min(ncf, 1.0)
         weights = [0.0 if w <= tol else w for w in weights]
+    one = Fraction(1) if model.mode == "rational" else 1.0
     return FractionReport(ncf, one - ncf, incidence, tuple(weights), tuple(result.dual),
                           noncontextual)
 

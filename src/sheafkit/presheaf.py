@@ -124,6 +124,8 @@ class EmpiricalModel:
 
 
 def _coerce(value: object, mode: str) -> Number:
+    if isinstance(value, bool):
+        raise InvalidModel(f"probability {value!r} is not a number")
     if mode == "rational":
         if isinstance(value, float):
             raise InvalidModel(
@@ -347,7 +349,10 @@ def model_from_dict(data: dict, base_dir: Path | None = None) -> EmpiricalModel:
         for key, value in entry["probs"].items():
             outs = _parse_section_key(key, declared, scenario)
             by_id = dict(zip(declared, outs))
-            probs[tuple(by_id[m] for m in ctx.members)] = value
+            section = tuple(by_id[m] for m in ctx.members)
+            if section in probs:
+                raise ParseError(f"section key {key!r} names a section another key already gave")
+            probs[section] = value
         tables[ctx] = probs
     try:
         return build_model(scenario, tables, mode)

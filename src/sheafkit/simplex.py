@@ -1,12 +1,13 @@
 """Revised primal simplex with Bland's rule, exact over rationals.
 
-The solver keeps the basis inverse B^-1 (m x m), the basic values x_B and the
-dual y = c_B . B^-1, and reads the constraint matrix A only once, as sparse
-columns: each column becomes its nonzero (row, coefficient) pairs.  Pricing a
-column is then a sum over its few entries, and a pivot rewrites B^-1 instead
-of a dense m x (n + m) tableau.  On the incidence matrices of the gluing
-module every column holds one 1 per context, so a column prices as a sum of
-k dual entries with no multiplication.
+The one LP this package poses is the contextual-fraction LP: maximize sum(x)
+subject to M x <= b, x >= 0, where M is a 0/1 matrix whose every column has a
+few ones (the k rows a global assignment restricts to, one per context).  The
+solver takes M as those columns, each a list of its rows, so there are no
+coefficients and no costs: with y the dual, a column prices as 1 - sum of y
+over its rows, a sum with no multiplication.  It keeps the basis inverse
+B^-1 (m x m), the basic values x_B and y = c_B . B^-1, and a pivot rewrites
+B^-1 instead of a dense m x (n + m) tableau.
 
 Bland's anti-cycling rule picks the pivots: the entering column is the first
 one, in index order (structural columns, then slacks), whose reduced cost is
@@ -15,8 +16,7 @@ smallest basis index.  In rational mode every comparison is exact, so
 termination is unconditional and the pivots are exactly those of the dense
 tableau; float mode reuses the same rule with a 1e-9 feasibility tolerance.
 
-The one entry point, :func:`maximize_leq`, solves max c.x subject to
-A x <= b, x >= 0 and returns the optimal dual with the primal.  That is all
+:func:`maximize_leq` returns the optimal dual with the primal.  That is all
 the gluing module needs: the contextual-fraction LP decides noncontextuality
 too, and its dual yields the Farkas certificate of a contextual model.
 """
@@ -39,44 +39,34 @@ FLOAT_TOL = 1e-9
 
 @dataclass
 class LPResult:
-    status: str  # "optimal" | "unbounded"
-    x: list[Number] | None
-    objective: Number | None
-    dual: list[Number] | None
+    x: list[Number]
+    objective: Number
+    dual: list[Number]
     pivots: int
 
 
-def _dot(vec: Sequence[Number], column: Sequence[tuple[int, Number]]) -> Number:
-    """vec . column for a sparse column; unit coefficients add with no product."""
-    total: Number = 0
-    for i, v in column:
-        total += vec[i] if v == 1 else vec[i] * v
-    return total
-
-
 def maximize_leq(
-    c: Sequence[Number],
-    a: Sequence[Sequence[Number]],
+    a: Sequence[Sequence[int]],
     b: Sequence[Number],
     mode: str = "rational",
     budget: int = PIVOT_BUDGET,
 ) -> LPResult:
-    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0 componentwise.
+    """Maximize sum(x) subject to M x <= b, x >= 0, with b >= 0 componentwise.
 
-    The slack basis is feasible because b >= 0, so no phase I is needed.
-    ``dual`` is the optimal y >= 0 with y.A >= c and y.b equal to the
-    objective.
+    M is 0/1 with len(b) rows; ``a[j]`` lists the rows of column j's ones.
+    Every column needs a row: an empty column could grow without bound.  The slack basis is feasible because b >= 0, so no
+    phase I is needed.  ``dual`` is the optimal y >= 0 with sum(y[i] for i in
+    a[j]) >= 1 for every j and y.b equal to the objective.
     """
     if any(bi < 0 for bi in b):
         raise ValueError("maximize_leq requires b >= 0")
+    if not all(a):
+        raise ValueError("maximize_leq requires every column to hit a row")
     if mode == "rational":
         tol, zero, one = Fraction(0), Fraction(0), Fraction(1)
     else:
         tol, zero, one = FLOAT_TOL, 0.0, 1.0
-    m, n = len(a), len(c)
-    # each column of A once, as its nonzero (row, coefficient) pairs; with no
-    # rows every column is empty
-    columns = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*a)] or [[] for _ in c]
+    m, n = len(b), len(a)
     binv = [[one if k == i else zero for k in range(m)] for i in range(m)]
     xb = list(b)
     y = [zero] * m
@@ -91,7 +81,7 @@ def maximize_leq(
         enter, red = -1, zero
         for j in range(n):
             if j not in basic:
-                red = c[j] - _dot(y, columns[j])
+                red = one - sum(y[i] for i in a[j])
                 if red > tol:
                     enter = j
                     break
@@ -103,7 +93,7 @@ def maximize_leq(
         if enter < 0:
             break
         if enter < n:
-            d = [_dot(row, columns[enter]) for row in binv]
+            d = [sum(row[i] for i in a[enter]) for row in binv]
         else:
             d = [row[enter - n] for row in binv]
         leave, best = -1, None
@@ -112,8 +102,8 @@ def maximize_leq(
                 ratio = xb[i] / d[i]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
-        if leave < 0:
-            return LPResult("unbounded", None, None, None, pivots)
+        # every column hits a row and b >= 0, so the feasible set is bounded
+        assert leave >= 0, "ratio test found no leaving row"
         piv = d[leave]
         prow = binv[leave] = [v / piv if v else v for v in binv[leave]]
         xb[leave] = xb[leave] / piv
@@ -136,5 +126,4 @@ def maximize_leq(
     for i, col in enumerate(basis):
         if col < n:
             x[col] = xb[i]
-    objective = sum(c[j] * x[j] for j in range(n))
-    return LPResult("optimal", x, objective, y, pivots)
+    return LPResult(x, sum(x), y, pivots)

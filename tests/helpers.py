@@ -379,22 +379,32 @@ def q_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def incidence_times(incidence: sk.IncidenceMatrix, x) -> list:
+    """incidence . x, read off the rows of each column."""
+    totals = [0] * len(incidence.rows)
+    for rows, w in zip(incidence.column_rows, x):
+        for r in rows:
+            totals[r] += w
+    return totals
+
+
+def dense_rows(column_rows, m: int) -> list[list[int]]:
+    """The m x n 0/1 matrix whose column j has ones in the rows column_rows[j]."""
+    return [[int(r in rows) for rows in column_rows] for r in range(m)]
+
+
 def verify_fraction_certificate(model: sk.EmpiricalModel, report: sk.FractionReport) -> None:
     """Optimality of the fraction LP via exact weak-duality certificates."""
     incidence = report.incidence
     p = sk.gluing.probability_vector(model, incidence)
-    n_rows, n_cols = len(incidence.rows), len(incidence.columns)
     # primal feasibility
     assert all(w >= 0 for w in report.weights)
-    for r in range(n_rows):
-        lhs = sum(incidence.entries[r][c] * report.weights[c] for c in range(n_cols))
-        assert lhs <= p[r]
+    assert all(lhs <= pr for lhs, pr in zip(incidence_times(incidence, report.weights), p))
     assert sum(report.weights) == report.noncontextual_fraction
     # dual feasibility: y >= 0 and y.M >= 1 componentwise
     assert all(y >= 0 for y in report.dual)
-    for c in range(n_cols):
-        col = sum(report.dual[r] * incidence.entries[r][c] for r in range(n_rows))
-        assert col >= 1
+    for rows in incidence.column_rows:
+        assert sum(report.dual[r] for r in rows) >= 1
     # equal objectives close the duality gap
     dual_obj = sum(y * pi for y, pi in zip(report.dual, p))
     assert dual_obj == report.noncontextual_fraction
@@ -408,21 +418,17 @@ def verify_farkas_certificate(model: sk.EmpiricalModel, report: sk.FractionRepor
     p = sk.gluing.probability_vector(model, incidence)
     k = len(model.scenario.cover)
     y = [yi - Fraction(1, k) for yi in report.dual]
-    for c in range(len(incidence.columns)):
-        col = sum(y[r] * incidence.entries[r][c] for r in range(len(incidence.rows)))
-        assert col >= 0
+    for rows in incidence.column_rows:
+        assert sum(y[r] for r in rows) >= 0
     assert sum(yi * pi for yi, pi in zip(y, p)) < 0
 
 
 def verify_global_distribution(model: sk.EmpiricalModel, report: sk.FractionReport) -> None:
     """The weights are nonnegative and reproduce every table exactly."""
     assert report.noncontextual
-    incidence = report.incidence
-    p = sk.gluing.probability_vector(model, incidence)
-    x = report.weights
-    assert all(w >= 0 for w in x)
-    for r in range(len(incidence.rows)):
-        assert sum(incidence.entries[r][c] * x[c] for c in range(len(x))) == p[r]
+    p = sk.gluing.probability_vector(model, report.incidence)
+    assert all(w >= 0 for w in report.weights)
+    assert incidence_times(report.incidence, report.weights) == p
 
 
 def dense_tableau_maximize(c, a, b, mode="rational", budget=simplex.PIVOT_BUDGET):
@@ -430,8 +436,9 @@ def dense_tableau_maximize(c, a, b, mode="rational", budget=simplex.PIVOT_BUDGET
 
     The textbook primal simplex with Bland's rule (first improving column,
     ratio ties to the smallest basis index), rewriting every row and the
-    reduced-cost row at each pivot.  ``simplex.maximize_leq`` must take the
-    same pivots and return the same ``LPResult``.
+    reduced-cost row at each pivot.  On a unit-cost 0/1 program,
+    ``simplex.maximize_leq`` of A's column rows must take the same pivots
+    and return the same ``LPResult``.
     """
     if any(bi < 0 for bi in b):
         raise ValueError("maximize_leq requires b >= 0")
@@ -457,8 +464,7 @@ def dense_tableau_maximize(c, a, b, mode="rational", budget=simplex.PIVOT_BUDGET
                 ratio = rows[i][-1] / coef
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
-        if leave < 0:
-            return simplex.LPResult("unbounded", None, None, None, pivots)
+        assert leave >= 0, "the program is unbounded"
         piv = rows[leave][enter]
         prow = rows[leave] = [v / piv for v in rows[leave]]
         for i in range(m):
@@ -476,7 +482,7 @@ def dense_tableau_maximize(c, a, b, mode="rational", budget=simplex.PIVOT_BUDGET
     objective = sum(c[j] * x[j] for j in range(n))
     # y_i = cost(slack i) - reduced cost(slack i), and slacks cost zero
     dual = [zero - red[n + i] for i in range(m)]
-    return simplex.LPResult("optimal", x, objective, dual, pivots)
+    return simplex.LPResult(x, objective, dual, pivots)
 
 
 # ---------------------------------------------------------------------------

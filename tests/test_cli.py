@@ -93,16 +93,104 @@ def _float_model(probs):
         (_float_model({"00": float("inf")}), ["check"]),
         (_float_model({"00": "1e999"}), ["check"]),
         ({"a": 1}, ["evolve", "--lambda", "1", "--potential"]),
+        ([float("nan")] * 512, ["evolve", "--lambda", "1", "--t-final", "0.001", "--potential"]),
+        ([True] * 512, ["evolve", "--lambda", "1", "--t-final", "0.001", "--potential"]),
+        ([[0.0, 0.0], [True, True]], ["evolve", "--sigma", "0.5", "--map"]),
+        (_float_model({"00": True}), ["check"]),
+        ({"scenario": _SCENARIO, "tables": [{"context": ["a1", "b1"], "probs": {"00": True}}]},
+         ["check"]),
+        ({"scenario": _SCENARIO,
+          "tables": [{"context": ["a1", "b1"], "probs": {"00": "1/2", "01": "1/4", "0,1": "1/2"}}]},
+         ["check"]),
     ],
     ids=["context-int", "context-nested", "list-model-mode", "map-not-pairs",
-         "float-nan", "float-infinity", "float-overflow", "potential-object"],
+         "float-nan", "float-infinity", "float-overflow", "potential-object",
+         "potential-nan", "potential-bool", "map-bool", "float-bool", "rational-bool",
+         "section-spelled-twice"],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    code, _, err = run_cli(argv + [str(path), "--no-timings"], capsys)
+    code, out, err = run_cli(argv + [str(path), "--no-timings"], capsys)
     assert code == cli.EXIT_INVALID
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--potential", "harmonic:nan"],
+        ["--mass", "nan"],
+        ["--mass", "inf"],
+        ["--hbar", "nan"],
+        ["--length", "nan"],
+        ["--initial", "gaussian:nan,0.5"],
+        ["--initial", "gaussian:0,nan"],
+        ["--initial", "gaussian:0,0.5,nan"],
+        ["--initial", "two-gaussian:nan,0.15"],
+    ],
+    ids=["harmonic-nan", "mass-nan", "mass-inf", "hbar-nan", "length-nan", "mu-nan",
+         "sigma0-nan", "momentum-nan", "separation-nan"],
+)
+def test_non_finite_evolve_input_exits_invalid(capsys, argv):
+    base = ["evolve", "--lambda", "1", "--t-final", "0.001", "--format", "json"]
+    code, out, err = run_cli(base + argv, capsys)
+    assert code == cli.EXIT_INVALID
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+#: subcommand -> (the argv it needs, options it reads, options it rejects)
+SUBCOMMAND_OPTIONS = {
+    "check": (
+        ["check", "prbox"],
+        [["--format", "json"], ["--format", "text"], ["--mode", "float"],
+         ["--budget-globals", "1"], ["--budget-nodes", "1"], ["--budget-pivots", "1"]],
+        [["--format", "csv"], ["--budget-matrix", "1"]],
+    ),
+    "fraction": (
+        ["fraction", "prbox"],
+        [["--format", "json"], ["--format", "text"], ["--mode", "float"],
+         ["--budget-globals", "1"], ["--budget-pivots", "1"]],
+        [["--format", "csv"], ["--budget-nodes", "1"], ["--budget-matrix", "1"]],
+    ),
+    "cohomology": (
+        ["cohomology", "prbox"],
+        [["--format", "json"], ["--format", "csv"], ["--mode", "float"],
+         ["--budget-matrix", "1"]],
+        [["--format", "text"], ["--budget-globals", "1"], ["--budget-nodes", "1"],
+         ["--budget-pivots", "1"]],
+    ),
+    "logic": (
+        ["logic", "prbox", "--prop", "a1=0"],
+        [["--format", "json"], ["--format", "text"], ["--mode", "float"]],
+        [["--format", "csv"], ["--budget-globals", "1"], ["--budget-nodes", "1"],
+         ["--budget-pivots", "1"], ["--budget-matrix", "1"]],
+    ),
+    "evolve": (
+        ["evolve"],
+        [["--format", "csv"], ["--format", "json"]],
+        [["--format", "text"], ["--mode", "float"], ["--budget-globals", "1"],
+         ["--budget-nodes", "1"], ["--budget-pivots", "1"], ["--budget-matrix", "1"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommands_accept_only_the_options_they_read(capsys, subcommand):
+    base, kept, removed = SUBCOMMAND_OPTIONS[subcommand]
+    parser = cli.build_parser()
+    for option in kept + [["--output", "report.txt"], ["--seed", "3"], ["--no-timings"]]:
+        args = parser.parse_args(base + option)
+        dest = option[0].lstrip("-").replace("-", "_")
+        want = True if len(option) == 1 else option[1]
+        assert str(getattr(args, dest)) == str(want)
+    for option in removed:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base + option)
+        assert exc.value.code == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("usage: ")
 
 
 def test_check_accepts_real_path(tmp_path, capsys):

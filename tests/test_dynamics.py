@@ -52,6 +52,32 @@ def test_potential_shape_checked():
         sk.physical_params(g, potential=np.zeros(32))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_grid_and_params_rejected(value):
+    with pytest.raises(ValueError, match="length must be finite"):
+        sk.Grid(64, value)
+    g = make_grid(64, 8.0)
+    with pytest.raises(ValueError, match="mass must be finite"):
+        sk.physical_params(g, mass=value)
+    with pytest.raises(ValueError, match="hbar must be finite"):
+        sk.physical_params(g, hbar=value)
+    with pytest.raises(ValueError, match="potential must be finite"):
+        sk.physical_params(g, potential=np.full(64, value))
+
+
+def test_non_finite_state_rejected_by_step_and_evolve():
+    g = make_grid()
+    p = sk.physical_params(g)
+    st = dynamics.gaussian_state(g, p, 0.0, 0.5)
+    bad_rho = st.rho.copy()
+    bad_rho[7] = np.nan
+    for bad in (sk.LambdaState(bad_rho, st.s), sk.LambdaState(st.rho, st.s * np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            sk.step(bad, 1e-4, p, g)
+        with pytest.raises(ValueError, match="must be finite"):
+            sk.evolve(bad, p, g, t_final=1e-3, dt=1e-4)
+
+
 # --- polar form ----------------------------------------------------------------
 
 

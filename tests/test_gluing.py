@@ -6,12 +6,13 @@ import pytest
 import sheafkit as sk
 from sheafkit import simplex
 from sheafkit.errors import IncompatibleModel, SizeLimitExceeded
-from sheafkit.presheaf import model_from_dict
+from sheafkit.presheaf import model_from_dict, restrict
 from helpers import (
     HALF,
     bell_scenario,
     brute_force_extends,
     brute_force_globals,
+    dense_rows,
     deterministic_model,
     float_copy,
     model_to_dict,
@@ -157,28 +158,27 @@ def test_incidence_single_context_identity():
     sc = sk.build_scenario([("a", 2)], [["a"]])
     inc = sk.build_incidence(sc)
     assert len(inc.rows) == 2 and len(inc.columns) == 2
-    assert [list(r) for r in inc.entries] == [[1, 0], [0, 1]]
+    assert inc.column_rows == ((0,), (1,))
 
 
 def test_incidence_shapes_and_column_sums():
     inc = sk.build_incidence(triangle_scenario())
     assert len(inc.rows) == 12 and len(inc.columns) == 8
-    for j in range(8):
-        assert sum(inc.entries[r][j] for r in range(12)) == 3
+    assert all(len(set(rows)) == 3 for rows in inc.column_rows)
 
     inc_bell = sk.build_incidence(bell_scenario())
     assert len(inc_bell.rows) == 16 and len(inc_bell.columns) == 16
-    for j in range(16):
-        assert sum(inc_bell.entries[r][j] for r in range(16)) == 4
+    assert all(len(set(rows)) == 4 for rows in inc_bell.column_rows)
 
 
 def test_incidence_one_entry_per_context_per_column():
     sc = bell_scenario()
     inc = sk.build_incidence(sc)
-    for j, g in enumerate(inc.columns):
-        for ci, ctx in enumerate(sc.cover):
-            rows = [r for r, (i, _) in enumerate(inc.rows) if i == ci]
-            assert sum(inc.entries[r][j] for r in rows) == 1
+    for g, rows in zip(inc.columns, inc.column_rows, strict=True):
+        # one row per context, in cover order, the section g restricts to
+        assert [inc.rows[r] for r in rows] == [
+            (ci, restrict(g, ctx)) for ci, ctx in enumerate(sc.cover)
+        ]
 
 
 # --- noncontextuality LP -------------------------------------------------------
@@ -406,7 +406,7 @@ def test_fraction_cross_checked_against_scipy():
         p = [float(x) for x in sk.gluing.probability_vector(model, inc)]
         c = [-1.0] * len(inc.columns)
         res = scipy_opt.linprog(
-            c, A_ub=[[float(v) for v in row] for row in inc.entries], b_ub=p,
+            c, A_ub=dense_rows(inc.column_rows, len(inc.rows)), b_ub=p,
             bounds=(0, None), method="highs",
         )
         assert res.status == 0
@@ -420,19 +420,13 @@ def test_simplex_random_lps_match_scipy():
     rng = random.Random(2121)
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        a = [[F(rng.randint(0, 6)) for _ in range(n)] for _ in range(m)]
+        # unit costs and 0/1 columns, each hitting at least one row
+        a = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
         b = [F(rng.randint(0, 9)) for _ in range(m)]
-        c = [F(rng.randint(0, 5)) for _ in range(n)]
-        # keep the program bounded: every variable with positive cost must
-        # appear in some constraint with a positive coefficient
-        for j in range(n):
-            if c[j] > 0 and all(a[i][j] == 0 for i in range(m)):
-                a[rng.randrange(m)][j] = F(1)
-        res = simplex.maximize_leq(c, a, b)
-        assert res.status == "optimal"
+        res = simplex.maximize_leq(a, b)
         ref = scipy_opt.linprog(
-            [-float(x) for x in c],
-            A_ub=[[float(v) for v in row] for row in a],
+            [-1.0] * n,
+            A_ub=dense_rows(a, m),
             b_ub=[float(x) for x in b],
             bounds=(0, None),
             method="highs",
