@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import struct
 import sys
 import time
@@ -279,6 +280,8 @@ def _parse_initial(spec: str, grid: Grid, params) -> LambdaState:
 
     kind, _, rest = spec.partition(":")
     fields = [float(v) for v in rest.split(",")] if rest else []
+    if not all(math.isfinite(v) for v in fields):
+        raise SheafkitError(f"bad --initial {spec!r}; every field must be finite")
     if kind == "gaussian":
         if len(fields) == 2:
             return dynamics.gaussian_state(grid, params, fields[0], fields[1])

@@ -383,6 +383,10 @@ def evolve(
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    if not 0 <= visibility_rel_floor < math.inf:
+        raise ValueError(
+            f"visibility_rel_floor must be finite and >= 0, got {visibility_rel_floor}"
+        )
     n_steps = int(round(t_final / dt))
     field = _field_params(params)
     psi = polar_decompose(initial.rho, initial.s, field)
@@ -409,8 +413,8 @@ def evolve(
 
 
 def gaussian_density(grid: Grid, mu: float, sigma0: float) -> np.ndarray:
-    if sigma0 <= 0:
-        raise ValueError("packet width must be positive")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError(f"packet width must be finite and positive, got {sigma0}")
     rho = np.exp(-((grid.x - mu) ** 2) / (2.0 * sigma0**2))
     return normalize_density(rho, grid)
 
@@ -431,8 +435,8 @@ def two_gaussian_state(
     momentum: float = 0.0,
 ) -> LambdaState:
     """Two packets at +-separation/2; momenta (if any) point at each other."""
-    if sigma0 <= 0:
-        raise ValueError("packet width must be positive")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError(f"packet width must be finite and positive, got {sigma0}")
     x = grid.x
     a = separation / 2.0
     left = np.exp(-((x + a) ** 2) / (4.0 * sigma0**2)) * np.exp(1j * momentum * x / params.hbar)

@@ -343,6 +343,8 @@ def model_from_dict(data: dict, base_dir: Path | None = None) -> EmpiricalModel:
         if not isinstance(declared, list) or not all(isinstance(m, str) for m in declared):
             raise ParseError("each table's context must be a list of observable ids")
         ctx = scenario.context(declared)
+        if ctx in tables:
+            raise ParseError(f"context {declared} has a second table")
         probs: dict[tuple[int, ...], object] = {}
         if not isinstance(entry["probs"], dict):
             raise ParseError("'probs' must be an object")

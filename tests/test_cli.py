@@ -102,11 +102,22 @@ def _float_model(probs):
         ({"scenario": _SCENARIO,
           "tables": [{"context": ["a1", "b1"], "probs": {"00": "1/2", "01": "1/4", "0,1": "1/2"}}]},
          ["check"]),
+        ({"scenario": _SCENARIO,
+          "tables": [{"context": ["a1", "b1"], "probs": {"00": "1/2", "01": "1/4"}},
+                     {"context": ["b1", "a1"], "probs": {"00": "1"}}]},
+         ["check"]),
+        ([0.0] * 512, ["evolve", "--lambda", "1", "--t-final", "0.001",
+                       "--initial", "gaussian:0,inf", "--potential"]),
+        ([0.0] * 512, ["evolve", "--lambda", "1", "--t-final", "0.001",
+                       "--vis-rel-floor", "nan", "--potential"]),
+        ([0.0] * 512, ["evolve", "--lambda", "1", "--t-final", "0.001",
+                       "--vis-rel-floor=-1", "--potential"]),
     ],
     ids=["context-int", "context-nested", "list-model-mode", "map-not-pairs",
          "float-nan", "float-infinity", "float-overflow", "potential-object",
          "potential-nan", "potential-bool", "map-bool", "float-bool", "rational-bool",
-         "section-spelled-twice"],
+         "section-spelled-twice", "context-tabled-twice", "sigma0-infinite",
+         "vis-floor-nan", "vis-floor-negative"],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
     path = tmp_path / "input.json"

@@ -63,6 +63,14 @@ def test_non_finite_grid_and_params_rejected(value):
         sk.physical_params(g, hbar=value)
     with pytest.raises(ValueError, match="potential must be finite"):
         sk.physical_params(g, potential=np.full(64, value))
+    p = sk.physical_params(g)
+    with pytest.raises(ValueError, match="packet width must be finite"):
+        dynamics.gaussian_density(g, 0.0, value)
+    with pytest.raises(ValueError, match="packet width must be finite"):
+        dynamics.two_gaussian_state(g, p, 1.0, value)
+    st = dynamics.gaussian_state(g, p, 0.0, 0.5)
+    with pytest.raises(ValueError, match="visibility_rel_floor must be finite"):
+        sk.evolve(st, p, g, t_final=1e-3, dt=1e-4, visibility_rel_floor=value)
 
 
 def test_non_finite_state_rejected_by_step_and_evolve():

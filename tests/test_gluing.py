@@ -306,6 +306,15 @@ def test_float_fraction_agrees_with_rational_on_cycles():
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
+def test_ten_cycle_fraction_matches_closed_form():
+    # CF of the noisy n-cycle is max(0, 1 - n (1 - v) / 2); the 10-cycle LP
+    # has 40 rows and 1024 globals
+    report = sk.contextual_fraction(noisy_cycle_model(10, F(9, 10)))
+    assert report.contextual_fraction == F(1, 2) and not report.noncontextual
+    report = sk.contextual_fraction(noisy_cycle_model(10, HALF))
+    assert report.contextual_fraction == 0 and report.noncontextual
+
+
 def test_hierarchy_on_compatible_models():
     rng = random.Random(31)
     models = [pr_box_model(), triangle_anticorrelated_model(), deterministic_model()]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -68,6 +69,8 @@ def test_pivot_budget():
 # The revised simplex against the dense-tableau oracle.
 
 RHS = (F(0), F(0), F(1, 2), F(1), F(2), F(3))
+#: Coprime denominators: b's lcm L exceeds 2, and bases reach det B > 1.
+COPRIME = (3, 5, 7, 11, 13)
 
 
 def _random_lp(rng):
@@ -78,10 +81,20 @@ def _random_lp(rng):
     return a, b
 
 
+def _coprime_lp(rng):
+    """Up to 10 rows, columns of 2 to m/2 + 1 rows, b over the coprime denominators."""
+    m, n = rng.randint(6, 10), rng.randint(10, 20)
+    a = [sorted(rng.sample(range(m), rng.randint(2, m // 2 + 1))) for _ in range(n)]
+    b = [F(rng.randint(0, 12), rng.choice(COPRIME)) for _ in range(m)]
+    return a, b
+
+
 def _oracle_programs():
-    """300 seeded unit-cost 0/1 programs, the degenerate one, and box-mixture LPs."""
+    """400 seeded unit-cost 0/1 programs, the degenerate one, and box-mixture LPs."""
     rng = random.Random(606)
     programs = [_random_lp(rng) for _ in range(300)] + [DEGENERATE]
+    rng = random.Random(608)
+    programs += [_coprime_lp(rng) for _ in range(100)]
     rng = random.Random(607)
     for _ in range(12):
         model = random_box_mixture(rng)
@@ -93,16 +106,22 @@ def _oracle_programs():
 
 def test_revised_simplex_matches_dense_tableau():
     programs = _oracle_programs()
+    beyond_l = 0
     for a, b in programs:
         dense = dense_rows(a, len(b))
         want = dense_tableau_maximize([F(1)] * len(a), dense, b)
         got = simplex.maximize_leq(a, b)
         assert got == want
+        # a denominator that does not divide L comes from a basis with det B > 1
+        scale = lcm(*(bi.denominator for bi in b))
+        beyond_l += any(scale % v.denominator for v in got.x + got.dual)
         fb = [float(v) for v in b]
         fwant = dense_tableau_maximize([1.0] * len(a), dense, fb, mode="float")
         fgot = simplex.maximize_leq(a, fb, mode="float")
         assert abs(fgot.objective - float(want.objective)) <= simplex.FLOAT_TOL
         assert abs(fwant.objective - float(want.objective)) <= simplex.FLOAT_TOL
     # the seeded programs exercise degenerate pivots
-    assert len(programs) >= 313
+    assert len(programs) >= 413
     assert sum(any(bi == 0 for bi in b) for _, b in programs) >= 100
+    assert sum(lcm(*(bi.denominator for bi in b)) > 2 for _, b in programs) >= 100
+    assert beyond_l >= 10
