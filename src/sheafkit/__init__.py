@@ -79,6 +79,7 @@ from .presheaf import (
     enumerate_sections,
     marginalize,
     restrict,
+    restriction_map,
     support_of,
 )
 from .scenario import (

@@ -204,7 +204,7 @@ def cmd_fraction(args: argparse.Namespace) -> int:
         return emit_incompatible(args, "fraction", meta, compat, started)
     fr = contextual_fraction(model, limit=args.budget_globals, budget=args.budget_pivots)
     weights = {
-        "".join(str(o) for o in g.outcomes): w
+        g.label(): w
         for g, w in zip(fr.incidence.columns, fr.weights)
         if w != 0
     }

@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .errors import SizeLimitExceeded
 from .intlinalg import SmithForm, ZMat, kernel_basis, quotient_invariants, smith_normal_form
-from .presheaf import LocalSection, SupportModel, restrict
+from .presheaf import LocalSection, SupportModel, restriction_map
 from .scenario import Context, Nerve, build_nerve
 
 #: Default ceiling on coboundary matrix entries (rows x cols).
@@ -82,9 +82,6 @@ class CoboundaryMatrices:
     d0: ZMat
     d1: ZMat
 
-    def vertex_column(self, vertex: int, section: LocalSection) -> int:
-        return self.vertex_basis.index((vertex, section))
-
     @cached_property
     def d0_form(self) -> SmithForm:
         return smith_normal_form(self.d0)
@@ -106,11 +103,33 @@ class CoboundaryMatrices:
         return [(b, smith_normal_form(p)) for b, p in zip(blocks, projected)]
 
 
-def _restricted_basis(
-    sections_by_vertex: list[tuple[LocalSection, ...]], target: Context
-) -> list[LocalSection]:
-    seen = {restrict(s, target) for group in sections_by_vertex for s in group}
-    return sorted(seen, key=lambda s: s.outcomes)
+def _coboundary(
+    cells: list[tuple[Context, tuple[tuple[int, int], ...]]],
+    face_basis: tuple[tuple[int, LocalSection], ...],
+    limit: int,
+) -> tuple[tuple[tuple[int, LocalSection], ...], ZMat]:
+    """The basis (cell, section) of the cells and the coboundary into it.
+
+    ``cells`` lists each cell's context and its (face, sign) pairs.  A cell's
+    basis is its faces' sections restricted to it; each face section's column
+    holds the face's sign in the row of its restriction to the cell.
+    """
+    columns: dict[int, list[int]] = {}
+    for c, (face, _) in enumerate(face_basis):
+        columns.setdefault(face, []).append(c)
+    basis: list[tuple[int, LocalSection]] = []
+    entries = []
+    for ci, (context, faces) in enumerate(cells):
+        cols = [(c, sign) for face, sign in faces for c in columns.get(face, ())]
+        sections, positions = restriction_map([face_basis[c][1] for c, _ in cols], context)
+        entries += [(len(basis) + r, c, sign) for r, (c, sign) in zip(positions, cols)]
+        basis += [(ci, s) for s in sections]
+    if len(basis) * max(len(face_basis), 1) > limit:
+        raise SizeLimitExceeded("coboundary matrix exceeds the size budget")
+    mat = ZMat.zeros(len(basis), len(face_basis))
+    for row, col, sign in entries:
+        mat.a[row][col] = sign
+    return tuple(basis), mat
 
 
 def build_coboundary_matrices(
@@ -119,63 +138,22 @@ def build_coboundary_matrices(
     """Assemble the integer coboundary matrices of a support model.
 
     D1 . D0 = 0 by construction; :func:`cech_invariants` checks it once,
-    when the invariants are computed.  ``limit`` bounds both matrices.
+    when the invariants are computed.  ``limit`` bounds each matrix, and is
+    checked before it is allocated.
     """
     nerve = build_nerve(support_model.scenario)
-    supp = [support_model.support(ctx) for ctx in nerve.vertices]
-
-    vertex_basis: list[tuple[int, LocalSection]] = []
-    for vi in range(len(nerve.vertices)):
-        vertex_basis.extend((vi, s) for s in supp[vi])
-
-    edge_sections: list[list[LocalSection]] = []
-    edge_basis: list[tuple[int, LocalSection]] = []
-    for ei, edge in enumerate(nerve.edges):
-        sections = _restricted_basis([supp[edge.i], supp[edge.j]], edge.context)
-        edge_sections.append(sections)
-        edge_basis.extend((ei, s) for s in sections)
-
-    triangle_basis: list[tuple[int, LocalSection]] = []
-    for ti, tri in enumerate(nerve.triangles):
-        sections = _restricted_basis([supp[tri.i], supp[tri.j], supp[tri.k]], tri.context)
-        triangle_basis.extend((ti, s) for s in sections)
-
-    for rows, cols in ((edge_basis, vertex_basis), (triangle_basis, edge_basis)):
-        if len(rows) * max(len(cols), 1) > limit:
-            raise SizeLimitExceeded("coboundary matrix exceeds the size budget")
-
-    vcol = {key: idx for idx, key in enumerate(vertex_basis)}
-    erow = {key: idx for idx, key in enumerate(edge_basis)}  # D0's rows and D1's columns
-    trow = {key: idx for idx, key in enumerate(triangle_basis)}
-
-    d0 = ZMat.zeros(len(edge_basis), len(vertex_basis))
-    for ei, edge in enumerate(nerve.edges):
-        for vi, sign in ((edge.j, 1), (edge.i, -1)):
-            for s in supp[vi]:
-                row = erow[(ei, restrict(s, edge.context))]
-                d0.a[row][vcol[(vi, s)]] += sign
-
-    d1 = ZMat.zeros(len(triangle_basis), len(edge_basis))
-    edge_index = {(e.i, e.j): ei for ei, e in enumerate(nerve.edges)}
-    for ti, tri in enumerate(nerve.triangles):
-        faces = (
-            (edge_index[(tri.j, tri.k)], 1),
-            (edge_index[(tri.i, tri.k)], -1),
-            (edge_index[(tri.i, tri.j)], 1),
-        )
-        for ei, sign in faces:
-            for s in edge_sections[ei]:
-                row = trow[(ti, restrict(s, tri.context))]
-                d1.a[row][erow[(ei, s)]] += sign
-
-    return CoboundaryMatrices(
-        nerve,
-        tuple(vertex_basis),
-        tuple(edge_basis),
-        tuple(triangle_basis),
-        d0,
-        d1,
+    vertex_basis = tuple(
+        (vi, s) for vi, ctx in enumerate(nerve.vertices) for s in support_model.support(ctx)
     )
+    edges = [(e.context, ((e.j, 1), (e.i, -1))) for e in nerve.edges]
+    edge_basis, d0 = _coboundary(edges, vertex_basis, limit)
+    edge_of = {(e.i, e.j): ei for ei, e in enumerate(nerve.edges)}
+    triangles = [
+        (t.context, ((edge_of[t.j, t.k], 1), (edge_of[t.i, t.k], -1), (edge_of[t.i, t.j], 1)))
+        for t in nerve.triangles
+    ]
+    triangle_basis, d1 = _coboundary(triangles, edge_basis, limit)
+    return CoboundaryMatrices(nerve, vertex_basis, edge_basis, triangle_basis, d0, d1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +190,10 @@ def obstruction(
     if section not in support_model.support(ctx):
         raise ValueError(f"section {section.label()} not in the support of {ctx.label()}")
 
+    # the block lists the context's columns in support order
     block, nf = matrices.projections[context_index]
-    fixed = matrices.vertex_column(context_index, section)
-    z = nf.solve([int(c == fixed) for c in block])
+    fixed = support_model.support(ctx).index(section)
+    z = nf.solve([int(r == fixed) for r in range(len(block))])
     if z is None:
         return SectionObstruction(context_index, section, False, None)
 

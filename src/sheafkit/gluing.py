@@ -30,7 +30,8 @@ from .presheaf import (
     build_model,
     check_compatibility,
     enumerate_sections,
-    restrict,
+    marginalize,
+    restriction_map,
     section_count,
     support_of,
 )
@@ -192,11 +193,11 @@ def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) ->
     rows: list[tuple[int, LocalSection]] = []
     per_context = []
     for ci, ctx in enumerate(scenario.cover):
+        # every section of a context is the restriction of some global
+        sections, positions = restriction_map(columns, ctx)
         first = len(rows)
-        sections = enumerate_sections(ctx, scenario)
         rows.extend((ci, s) for s in sections)
-        row_of = {s: first + r for r, s in enumerate(sections)}
-        per_context.append([row_of[restrict(g, ctx)] for g in columns])
+        per_context.append([first + r for r in positions])
     return IncidenceMatrix(tuple(rows), columns, tuple(zip(*per_context)))
 
 
@@ -299,11 +300,4 @@ def model_from_global_weights(
     """
     if not isinstance(weights, Mapping):
         weights = dict(zip(_globals(scenario, GLOBAL_LIMIT), weights))
-    tables: dict[Context, dict[LocalSection, Number]] = {}
-    for ctx in scenario.cover:
-        dist: dict[LocalSection, Number] = {}
-        for g, w in weights.items():
-            sec = restrict(g, ctx)
-            dist[sec] = dist.get(sec, 0) + w
-        tables[ctx] = dist
-    return build_model(scenario, tables, mode)
+    return build_model(scenario, {ctx: marginalize(weights, ctx) for ctx in scenario.cover}, mode)

@@ -70,16 +70,39 @@ def _member_tuple(context: Context | Iterable[str]) -> tuple[str, ...]:
     return context.members if isinstance(context, Context) else tuple(context)
 
 
+def restriction_map(
+    sections: Iterable[LocalSection], subcontext: Context | Iterable[str]
+) -> tuple[tuple[LocalSection, ...], tuple[int, ...]]:
+    """Project sections onto a subcontext, pooling equal projections.
+
+    Returns the distinct restrictions in lexicographic outcome order and, for
+    each input section, the position of its restriction among them.  The
+    sections may span several domains; each domain's kept positions are
+    worked out once.  A restriction lists its members in its section's order.
+    """
+    wanted = set(_member_tuple(subcontext))
+    kept: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[str, ...]]] = {}
+    keys = []
+    for section in sections:
+        domain = section.members
+        if domain not in kept:
+            positions = tuple(i for i, m in enumerate(domain) if m in wanted)
+            if len(positions) != len(wanted):
+                raise NotASubcontext(
+                    f"{sorted(wanted)} is not contained in section domain {list(domain)}"
+                )
+            kept[domain] = positions, tuple(domain[i] for i in positions)
+        positions, members = kept[domain]
+        keys.append((tuple(section.outcomes[i] for i in positions), members))
+    distinct = sorted(set(keys))
+    index = {key: r for r, key in enumerate(distinct)}
+    return (tuple(LocalSection(members, outs) for outs, members in distinct),
+            tuple(index[key] for key in keys))
+
+
 def restrict(section: LocalSection, subcontext: Context | Iterable[str]) -> LocalSection:
     """Project a section onto a subcontext; identity on the full domain."""
-    wanted = set(_member_tuple(subcontext))
-    pairs = [(m, o) for m, o in zip(section.members, section.outcomes) if m in wanted]
-    if len(pairs) != len(wanted):
-        raise NotASubcontext(
-            f"{sorted(wanted)} is not contained in section domain {list(section.members)}"
-        )
-    members, outcomes = zip(*pairs) if pairs else ((), ())
-    return LocalSection(members, outcomes)
+    return restriction_map((section,), subcontext)[0][0]
 
 
 def section_count(context: Context, scenario: MeasurementScenario) -> int:
@@ -214,12 +237,11 @@ def marginalize(
     """Push a context's distribution down to a subcontext by summation."""
     if not table:
         raise InvalidModel("cannot marginalize an empty table")
-    target = _member_tuple(overlap)
-    out: dict[LocalSection, Number] = {}
-    for section, p in table.items():
-        sub = restrict(section, target)
-        out[sub] = out.get(sub, 0) + p
-    return out
+    restricted, positions = restriction_map(table, overlap)
+    sums: list[Number] = [0] * len(restricted)
+    for r, p in zip(positions, table.values()):
+        sums[r] += p
+    return dict(zip(restricted, sums))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ search is plain itertools enumeration, rational rank is a fresh Gaussian
 elimination, LP answers are checked through duality certificates and against
 a dense tableau, a section's obstruction is re-decided by its own integer
 system, H1 is re-derived in kernel coordinates, the degree-0 coboundary is
-taken section by section through restriction, and the dynamics is re-run by
-the plain four-FFT split step.
+taken section by section through restriction, the incidence and both
+coboundary matrices are rebuilt one projected section at a time, and the
+dynamics is re-run by the plain four-FFT split step.
 """
 
 from __future__ import annotations
@@ -42,11 +43,20 @@ def triangle_scenario() -> sk.MeasurementScenario:
     )
 
 
-def bell_scenario() -> sk.MeasurementScenario:
+def bell_scenario(m: int = 2, d: int = 2) -> sk.MeasurementScenario:
+    """Bell m x m x d: observables a1..am, b1..bm of arity d, cover {ai, bj}."""
+    sides = [[f"{side}{i}" for i in range(1, m + 1)] for side in "ab"]
     return sk.build_scenario(
-        [("a1", 2), ("a2", 2), ("b1", 2), ("b2", 2)],
-        [["a1", "b1"], ["a1", "b2"], ["a2", "b1"], ["a2", "b2"]],
+        [(o, d) for side in sides for o in side],
+        [[a, b] for a in sides[0] for b in sides[1]],
     )
+
+
+def fixture_model(name: str) -> sk.EmpiricalModel:
+    """A bundled fixture, read from the package."""
+    from importlib.resources import files
+
+    return read_model(Path(str(files("sheafkit") / "fixtures" / f"{name}.json")))
 
 
 def pr_box_model() -> sk.EmpiricalModel:
@@ -287,7 +297,7 @@ def free_column_vanishes(matrices, context_index: int, section: sk.LocalSection)
     section, where the library needs one per context.
     """
     d0 = matrices.d0
-    fixed = matrices.vertex_column(context_index, section)
+    fixed = matrices.vertex_basis.index((context_index, section))
     free = [c for c, (vi, _) in enumerate(matrices.vertex_basis) if vi != context_index]
     a = ZMat(d0.m, len(free), [[row[c] for c in free] for row in d0.a])
     return smith_normal_form(a).solve([-row[fixed] for row in d0.a]) is not None
@@ -354,6 +364,71 @@ def coboundary0(cochain: Cochain0, nerve: sk.Nerve) -> Cochain1:
         sj = zf_restrict(cochain.components[edge.j], edge.context)
         parts.append(fa_sub(sj, si))
     return Cochain1(tuple(parts))
+
+
+def project(section: sk.LocalSection, subcontext: Iterable[str]) -> sk.LocalSection:
+    """Plain restriction: the members the subcontext names, in the section's
+    order, with their outcomes; no check that it names only those."""
+    wanted = set(subcontext)
+    pairs = [(m, o) for m, o in zip(section.members, section.outcomes) if m in wanted]
+    return sk.LocalSection(tuple(m for m, _ in pairs), tuple(o for _, o in pairs))
+
+
+def reference_incidence(scenario: sk.MeasurementScenario):
+    """(rows, columns, column_rows) built one global and context at a time:
+    each context's rows enumerated, each global projected and looked up."""
+    columns = tuple(sk.enumerate_sections(sk.Context(scenario.observable_ids), scenario, 2**24))
+    rows: list[tuple[int, sk.LocalSection]] = []
+    per_context = []
+    for ci, ctx in enumerate(scenario.cover):
+        first = len(rows)
+        sections = sk.enumerate_sections(ctx, scenario)
+        rows.extend((ci, s) for s in sections)
+        row_of = {s: first + r for r, s in enumerate(sections)}
+        per_context.append([row_of[project(g, ctx)] for g in columns])
+    return tuple(rows), columns, tuple(zip(*per_context))
+
+
+def reference_coboundary(support_model: sk.SupportModel):
+    """(vertex, edge and triangle bases, D0, D1) filled one section at a time.
+
+    A cell's basis is the sorted set of its faces' projected sections; each
+    face section adds its sign at the row of its projection, found by index.
+    """
+    nerve = sk.build_nerve(support_model.scenario)
+    supp = [support_model.support(ctx) for ctx in nerve.vertices]
+    vertex_basis = [(vi, s) for vi in range(len(supp)) for s in supp[vi]]
+
+    def basis_of(groups, target):
+        return sorted({project(s, target) for group in groups for s in group},
+                      key=lambda s: s.outcomes)
+
+    edge_sections = [basis_of([supp[e.i], supp[e.j]], e.context) for e in nerve.edges]
+    edge_basis = [(ei, s) for ei, secs in enumerate(edge_sections) for s in secs]
+    triangle_basis = [
+        (ti, s)
+        for ti, t in enumerate(nerve.triangles)
+        for s in basis_of([supp[t.i], supp[t.j], supp[t.k]], t.context)
+    ]
+    vcol = {key: idx for idx, key in enumerate(vertex_basis)}
+    erow = {key: idx for idx, key in enumerate(edge_basis)}
+    trow = {key: idx for idx, key in enumerate(triangle_basis)}
+
+    d0 = ZMat.zeros(len(edge_basis), len(vertex_basis))
+    for ei, edge in enumerate(nerve.edges):
+        for vi, sign in ((edge.j, 1), (edge.i, -1)):
+            for s in supp[vi]:
+                d0.a[erow[(ei, project(s, edge.context))]][vcol[(vi, s)]] += sign
+
+    d1 = ZMat.zeros(len(triangle_basis), len(edge_basis))
+    edge_index = {(e.i, e.j): ei for ei, e in enumerate(nerve.edges)}
+    for ti, tri in enumerate(nerve.triangles):
+        faces = (((tri.j, tri.k), 1), ((tri.i, tri.k), -1), ((tri.i, tri.j), 1))
+        for pair, sign in faces:
+            ei = edge_index[pair]
+            for s in edge_sections[ei]:
+                d1.a[trow[(ti, project(s, tri.context))]][erow[(ei, s)]] += sign
+    return tuple(vertex_basis), tuple(edge_basis), tuple(triangle_basis), d0, d1
 
 
 def q_rank(rows: list[list[Fraction]]) -> int:

@@ -20,6 +20,7 @@ PACKAGE = Path(sheafkit.__file__).resolve().parent
 ALLOWED = {
     ("dynamics", "step"): "the tests need the stepped (rho, S); evolve returns no state",
     ("gluing", "model_from_global_weights"): "ROADMAP item 6 gives it a caller (p_NC)",
+    ("presheaf", "restrict"): "the one-section case of restriction_map, which the package calls",
 }
 
 

@@ -232,6 +232,20 @@ def test_fraction_deterministic_zero(capsys):
     assert sum(eval_frac(w) for w in report["results"]["weights"].values()) == 1
 
 
+def test_fraction_weight_keys_separate_two_digit_outcomes(tmp_path, capsys):
+    # concatenated, (10, 1, 0) and (1, 0, 10) would both read "1010"
+    ids = ["x", "y", "z"]
+    data = {
+        "scenario": {"observables": [{"id": i, "arity": 11} for i in ids], "cover": [ids]},
+        "tables": [{"context": ids, "probs": {"10,1,0": "1/2", "1,0,10": "1/2"}}],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, report, _ = run_json(["fraction", str(path), "--no-timings"], capsys)
+    assert code == cli.EXIT_OK
+    assert report["results"]["weights"] == {"10,1,0": "1/2", "1,0,10": "1/2"}
+
+
 def test_fraction_reports_the_violations_check_reports(capsys):
     for fmt in ("json", "text"):
         reports = [

@@ -26,11 +26,13 @@ from helpers import (
     free_column_vanishes,
     kernel_coordinate_invariants,
     model_to_dict,
+    noisy_cycle_model,
     pr_box_model,
     q_rank,
     random_global_model,
     random_scenario,
     random_support_model,
+    reference_coboundary,
     triangle_anticorrelated_model,
     triangle_scenario,
     zf_restrict,
@@ -192,6 +194,37 @@ def test_matrix_budget_bounds_d1(tmp_path, capsys):
     assert cli.main(argv + ["5000"]) == cli.EXIT_INVALID
     assert "size budget" in capsys.readouterr().err
     assert cli.main(argv + ["21600"]) == cli.EXIT_OK
+
+
+def test_matrices_match_reference():
+    rng = random.Random(1617)
+    supports = [
+        random_support_model(rng, random_scenario(rng, max_observables=5)) for _ in range(60)
+    ]
+    # the faces of a tetrahedron: four triangles in the nerve
+    ids = ["o0", "o1", "o2", "o3"]
+    tetrahedron = sk.build_scenario(
+        [(o, 2) for o in ids], [[o for o in ids if o != x] for x in ids]
+    )
+    supports += [random_support_model(rng, tetrahedron) for _ in range(20)]
+    for n in range(4, 11):
+        supports += [sk.support_of(noisy_cycle_model(n, v)) for v in (F(0), F(1))]
+    for m, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
+        sc = bell_scenario(m, d)
+        columns = sk.build_incidence(sc).columns
+        few = {g: F(1, 4) for g in rng.sample(columns, 4)}
+        supports += [
+            sk.support_of(sk.model_from_global_weights(sc, few)),
+            sk.support_of(random_global_model(rng, sc, sparse=True)),
+        ]
+    supports.append(sk.support_of(_avn_model()))
+    triangles = 0
+    for supp in supports:
+        mats = build_coboundary_matrices(supp)
+        triangles += bool(mats.triangle_basis)
+        got = (mats.vertex_basis, mats.edge_basis, mats.triangle_basis, mats.d0, mats.d1)
+        assert got == reference_coboundary(supp)
+    assert triangles >= 20
 
 
 def test_d1_after_d0_is_zero_with_triangles():

@@ -22,6 +22,7 @@ from helpers import (
     random_global_model,
     random_scenario,
     random_support_model,
+    reference_incidence,
     triangle_anticorrelated_model,
     triangle_scenario,
     verify_farkas_certificate,
@@ -179,6 +180,16 @@ def test_incidence_one_entry_per_context_per_column():
         assert [inc.rows[r] for r in rows] == [
             (ci, restrict(g, ctx)) for ci, ctx in enumerate(sc.cover)
         ]
+
+
+def test_incidence_matches_reference():
+    rng = random.Random(1616)
+    scenarios = [random_scenario(rng, max_observables=5) for _ in range(60)]
+    scenarios += [noisy_cycle_model(n, F(0)).scenario for n in range(4, 11)]
+    scenarios += [bell_scenario(m, d) for m, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))]
+    for sc in scenarios:
+        inc = sk.build_incidence(sc)
+        assert (inc.rows, inc.columns, inc.column_rows) == reference_incidence(sc)
 
 
 # --- noncontextuality LP -------------------------------------------------------

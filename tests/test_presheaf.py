@@ -19,8 +19,10 @@ from sheafkit.presheaf import model_from_dict
 from helpers import (
     HALF,
     bell_scenario,
+    fixture_model,
     model_to_dict,
     pr_box_model,
+    project,
     random_global_model,
     random_scenario,
     read_model,
@@ -77,6 +79,60 @@ def test_restrict_functoriality(data):
     direct = sk.restrict(section, small)
     assert via == direct
     assert sk.restrict(section, members) == section
+
+
+def _check_restriction_map(sections, subcontext):
+    restricted, positions = sk.restriction_map(sections, subcontext)
+    assert len(positions) == len(sections)
+    # distinct, in lexicographic outcome order, and each one some section's
+    assert list(restricted) == sorted(set(restricted), key=lambda s: s.outcomes)
+    assert set(positions) == set(range(len(restricted)))
+    for section, r in zip(sections, positions, strict=True):
+        assert restricted[r] == sk.restrict(section, subcontext) == project(section, subcontext)
+
+
+def test_restriction_map_agrees_with_restrict_section_by_section():
+    rng = random.Random(1618)
+    scenarios = [random_scenario(rng, max_observables=5) for _ in range(40)]
+    scenarios += [
+        bell_scenario(2, 3),
+        sk.build_scenario([("x", 3), ("y", 2), ("z", 4)], [["x", "y", "z"]]),
+    ]
+    for sc in scenarios:
+        for ctx in sc.cover:
+            sections = [s for s in sk.enumerate_sections(ctx, sc) if rng.random() < 0.7]
+            rng.shuffle(sections)
+            # a random subset, listed in random (so not scenario) order
+            subcontext = rng.sample(ctx.members, rng.randint(0, len(ctx)))
+            _check_restriction_map(sections, subcontext)
+            _check_restriction_map(sections, sc.context(subcontext) if subcontext else ())
+
+
+def test_restriction_map_pools_two_contexts_as_an_edge_sees_them():
+    supp = sk.support_of(pr_box_model())
+    a1b2, a2b2 = supp.scenario.cover[1], supp.scenario.cover[3]
+    overlap = a1b2.intersect(a2b2)
+    restricted, positions = sk.restriction_map(supp.support(a1b2) + supp.support(a2b2), overlap)
+    assert restricted == (sk.LocalSection(("b2",), (0,)), sk.LocalSection(("b2",), (1,)))
+    assert positions == (0, 1, 1, 0)  # 00, 11 | 01, 10
+
+    sc = bell_scenario(2, 3)
+    for ca in sc.cover:
+        for cb in sc.cover:
+            overlap = ca.intersect(cb)
+            if ca != cb and overlap.members:
+                sections = sk.enumerate_sections(ca, sc) + sk.enumerate_sections(cb, sc)
+                _check_restriction_map(sections, overlap)
+
+
+def test_restriction_map_rejects_noncontainment():
+    ab = sk.LocalSection(("a", "b"), (0, 1))
+    bc = sk.LocalSection(("b", "c"), (1, 0))
+    assert sk.restriction_map([ab, bc], ("b",)) == ((sk.LocalSection(("b",), (1,)),), (0, 0))
+    with pytest.raises(NotASubcontext):
+        sk.restriction_map([ab, bc], ("b", "c"))
+    with pytest.raises(NotASubcontext):
+        sk.restriction_map([ab], ("a", "z"))
 
 
 # --- model construction ------------------------------------------------------
@@ -170,6 +226,41 @@ def test_marginalize_composes():
     )
     direct = sk.marginalize(table, ("a",))
     assert two_step == direct
+
+
+def _plain_marginal(table, subcontext):
+    out = {}
+    for section, p in table.items():
+        sub = project(section, subcontext)
+        out[sub] = out.get(sub, 0) + p
+    return out
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_marginals_and_global_projections_match_plain_sums_on_fixtures(mode):
+    rng = random.Random(1619)
+    for name in ("prbox", "bell_uniform", "triangle_anticorrelated", "deterministic", "signalling"):
+        model = fixture_model(name)
+        sc = model.scenario
+        for ctx in sc.cover:
+            for other in sc.cover:
+                overlap = ctx.intersect(other)
+                assert sk.marginalize(model.table(ctx), overlap) == _plain_marginal(
+                    model.table(ctx), overlap
+                )
+        columns = sk.build_incidence(sc).columns
+        raw = [rng.randint(0, 3) for _ in columns]
+        raw[0] += 1
+        if mode == "rational":
+            weights = [Fraction(w, sum(raw)) for w in raw]
+        else:
+            weights = [w / sum(raw) for w in raw]
+        # float sums keep their order, so the tables match bit for bit
+        expected = sk.build_model(
+            sc, {ctx: _plain_marginal(dict(zip(columns, weights)), ctx) for ctx in sc.cover}, mode
+        )
+        assert sk.model_from_global_weights(sc, weights, mode) == expected
+        assert sk.model_from_global_weights(sc, dict(zip(columns, weights)), mode) == expected
 
 
 # --- compatibility -------------------------------------------------------------
