@@ -78,7 +78,6 @@ from .presheaf import (
     check_compatibility,
     enumerate_sections,
     marginalize,
-    restrict,
     restriction_map,
     support_of,
 )

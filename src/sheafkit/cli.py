@@ -346,16 +346,16 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     from . import dynamics
 
     started = time.perf_counter()
+    if (args.lam is None) == (args.sigma is None) or (args.map and args.sigma is None):
+        raise SheafkitError("pass exactly one of --lambda and --sigma; --map needs --sigma")
     grid = dynamics.Grid(args.grid_n, args.length)
     potential = _parse_potential(args.potential, grid)
 
     lam = args.lam
-    map_spec = _parse_map(args.map) if args.map else None
     if args.sigma is not None:
         probe = dynamics.physical_params(grid, mass=args.mass, hbar=args.hbar)
+        map_spec = _parse_map(args.map) if args.map else None
         lam = dynamics.lambda_from_sigma(args.sigma, probe, map_spec)
-    if lam is None:
-        raise SheafkitError("pass --lambda or --sigma")
     params = dynamics.physical_params(
         grid, mass=args.mass, hbar=args.hbar, lam=lam, potential=potential
     )
@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="pick lambda by the sigma map at the run's hbar; hbar stays")
     p_evolve.add_argument("--map", default=None, help="JSON [[sigma,lambda],...] table")
     p_evolve.add_argument("--mass", type=float, default=1.0)
-    p_evolve.add_argument("--hbar", type=float, default=None,
-                          help="hbar of the run (default 1), also with --sigma")
+    p_evolve.add_argument("--hbar", type=float, default=1.0,
+                          help="hbar of the run, also with --sigma")
     p_evolve.add_argument("--grid-n", type=int, default=512)
     p_evolve.add_argument("--length", type=float, default=16.0)
     p_evolve.add_argument("--dt", type=float, default=1.5e-4)

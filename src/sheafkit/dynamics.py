@@ -22,9 +22,9 @@ S is the physical action at every lambda: the polar helpers and the initial
 states use hbar, and only the field inside ``step`` and ``evolve`` carries
 hbar_eff.
 
-Only ``physical_params(sigma=)`` ties sigma to hbar, as hbar = mass * sigma;
-``evolve --sigma`` only maps sigma to lambda at ``--hbar`` (or 1) through
-``lambda_from_sigma``, by default the clamp of m sigma / hbar to [0, 1].
+Sigma never sets hbar: ``evolve --sigma`` maps sigma to lambda at
+``--hbar`` through ``lambda_from_sigma``, by default the clamp of
+m sigma / hbar to [0, 1].
 
 Every run uses one numerical configuration, fixed by the module constants:
 the density floor ``RHO_FLOOR``, the time-step bound's ``STABILITY_FACTOR``,
@@ -98,22 +98,13 @@ class PhysicalParams:
 def physical_params(
     grid: Grid,
     mass: float = 1.0,
-    hbar: float | None = None,
-    sigma: float | None = None,
+    hbar: float = 1.0,
     lam: float = 1.0,
     potential: np.ndarray | None = None,
 ) -> PhysicalParams:
-    """Validated constructor enforcing hbar = mass * sigma when both appear."""
+    """Validated constructor; no potential means a free run."""
     if not 0 < mass < math.inf:
         raise ValueError(f"mass must be finite and positive, got {mass}")
-    if sigma is not None and sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if hbar is None:
-        hbar = mass * sigma if sigma is not None else 1.0
-    elif sigma is not None and abs(hbar - mass * sigma) > 1e-12 * max(1.0, abs(hbar)):
-        raise ValueError(
-            f"hbar={hbar} conflicts with mass*sigma={mass * sigma}; they must agree"
-        )
     if not 0 < hbar < math.inf:
         raise ValueError(f"hbar must be finite and positive, got {hbar}")
     if not 0.0 <= lam <= 1.0:

@@ -34,7 +34,7 @@ class NotASubcontext(SheafkitError):
 
 
 class EmptySupport(SheafkitError):
-    """A context's support is empty at the requested threshold."""
+    """A context has no section above the support threshold."""
 
 
 class InvalidModel(SheafkitError):

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from . import simplex
-from .errors import IncompatibleModel, SizeLimitExceeded
+from .errors import IncompatibleModel, InvalidModel, SizeLimitExceeded
 from .presheaf import (
     EmpiricalModel,
     LocalSection,
@@ -43,14 +43,6 @@ Number = Union[Fraction, float]
 GLOBAL_LIMIT = 2**24
 #: Default ceiling on backtracking nodes in sheaf_check.
 NODE_BUDGET = 10**8
-
-
-def _globals(scenario: MeasurementScenario, limit: int) -> list[LocalSection]:
-    """The global assignments: sections over all observables, in scenario order."""
-    everything = Context(scenario.observable_ids)
-    if section_count(everything, scenario) > limit:
-        raise SizeLimitExceeded(f"more than {limit} global assignments")
-    return enumerate_sections(everything, scenario, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +181,10 @@ class IncidenceMatrix:
 
 def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) -> IncidenceMatrix:
     """The gluing-condition matrix of a scenario, as the rows of each column."""
-    columns = tuple(_globals(scenario, limit))
+    everything = Context(scenario.observable_ids)
+    if section_count(everything, scenario) > limit:
+        raise SizeLimitExceeded(f"more than {limit} global assignments")
+    columns = tuple(enumerate_sections(everything, scenario, limit))
     rows: list[tuple[int, LocalSection]] = []
     per_context = []
     for ci, ctx in enumerate(scenario.cover):
@@ -288,16 +283,15 @@ def classify_contextuality(
 
 def model_from_global_weights(
     scenario: MeasurementScenario,
-    weights: Mapping[LocalSection, Number] | Sequence[Number],
+    weights: Mapping[LocalSection, Number],
     mode: str = "rational",
 ) -> EmpiricalModel:
     """Project a distribution on global assignments to cover tables.
 
-    ``weights`` maps global sections to their weight, or lists the weights
-    in the order of :attr:`IncidenceMatrix.columns`.  Models built this way
+    ``weights`` maps global sections to their weight.  Models built this way
     are compatible and noncontextual by construction, which makes this the
     canonical generator for round-trip tests.
     """
     if not isinstance(weights, Mapping):
-        weights = dict(zip(_globals(scenario, GLOBAL_LIMIT), weights))
+        raise InvalidModel(f"global weights must be a mapping, not {type(weights).__name__}")
     return build_model(scenario, {ctx: marginalize(weights, ctx) for ctx in scenario.cover}, mode)

@@ -35,7 +35,7 @@ from .scenario import Context, MeasurementScenario, load_scenario, scenario_from
 SECTION_LIMIT = 2**20
 #: Tolerance for table sums and marginal agreement in float mode.
 FLOAT_ATOL = 1e-9
-#: Default support threshold in float mode (exact zero in rational mode).
+#: Support threshold in float mode (exact zero in rational mode).
 FLOAT_SUPPORT_THRESHOLD = 1e-12
 
 Number = Union[Fraction, float]
@@ -98,11 +98,6 @@ def restriction_map(
     index = {key: r for r, key in enumerate(distinct)}
     return (tuple(LocalSection(members, outs) for outs, members in distinct),
             tuple(index[key] for key in keys))
-
-
-def restrict(section: LocalSection, subcontext: Context | Iterable[str]) -> LocalSection:
-    """Project a section onto a subcontext; identity on the full domain."""
-    return restriction_map((section,), subcontext)[0][0]
 
 
 def section_count(context: Context, scenario: MeasurementScenario) -> int:
@@ -295,12 +290,10 @@ class SupportModel:
         return self.supports[context]
 
 
-def support_of(model: EmpiricalModel, threshold: Number | None = None) -> SupportModel:
-    """Sections with probability strictly above the threshold, per context."""
-    if threshold is None:
-        threshold = Fraction(0) if model.mode == "rational" else FLOAT_SUPPORT_THRESHOLD
-    if threshold < 0:
-        raise InvalidModel(f"support threshold must be >= 0, got {threshold!r}")
+def support_of(model: EmpiricalModel) -> SupportModel:
+    """Sections with probability above 0 (rational mode) or above
+    ``FLOAT_SUPPORT_THRESHOLD`` (float mode), per context."""
+    threshold = 0 if model.mode == "rational" else FLOAT_SUPPORT_THRESHOLD
     supports = {}
     for ctx in model.scenario.cover:
         supp = [s for s, p in model.table(ctx).items() if p > threshold]

@@ -249,9 +249,9 @@ def _supports_compatible(scenario, supports) -> bool:
         overlap = ca.intersect(cb)
         if not overlap.members:
             continue
-        ra = {sk.restrict(s, overlap) for s in supports[ca]}
-        rb = {sk.restrict(s, overlap) for s in supports[cb]}
-        if ra != rb:
+        restricted_a, _ = sk.restriction_map(supports[ca], overlap)
+        restricted_b, _ = sk.restriction_map(supports[cb], overlap)
+        if restricted_a != restricted_b:
             return False
     return True
 
@@ -339,7 +339,7 @@ def zf_restrict(element: FreeAbelianSection,
     target = subcontext if isinstance(subcontext, sk.Context) else sk.Context(tuple(subcontext))
     out: dict[sk.LocalSection, int] = {}
     for sec, coef in element.coefficients.items():
-        sub = sk.restrict(sec, target)
+        sub = project(sec, target.members)
         out[sub] = out.get(sub, 0) + coef
     return fa_section(target, out)
 

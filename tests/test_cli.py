@@ -489,6 +489,20 @@ def test_evolve_requires_lambda_or_sigma(capsys):
     assert code == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize("extra", [["--sigma", "0.9"], ["--map"]], ids=["sigma", "map"])
+def test_evolve_lambda_excludes_sigma_and_map(tmp_path, capsys, extra):
+    # neither may be dropped in silence: --sigma would override --lambda, and
+    # --map only shapes the sigma -> lambda map
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps([[0.0, 0.0], [1.0, 1.0]]))
+    if extra == ["--map"]:
+        extra = ["--map", str(path)]
+    argv = ["evolve", "--lambda", "0.3", "--t-final", "0.0015", "--format", "json"]
+    code, out, err = run_cli(argv + extra, capsys)
+    assert code == cli.EXIT_INVALID
+    assert err.startswith("error: ") and out == ""
+
+
 # --- fixtures and determinism ----------------------------------------------------
 
 

@@ -28,16 +28,6 @@ def test_grid_validation():
     assert len(g.x) == 64 and abs(g.x[0] + 4.0) < 1e-15
 
 
-def test_hbar_sigma_relation():
-    g = make_grid(64, 8.0)
-    p = sk.physical_params(g, mass=2.0, sigma=0.5)
-    assert p.hbar == 1.0
-    # consistent pair accepted
-    sk.physical_params(g, mass=2.0, sigma=0.5, hbar=1.0)
-    with pytest.raises(ValueError):
-        sk.physical_params(g, mass=2.0, sigma=0.5, hbar=0.9)
-
-
 def test_lambda_range_enforced():
     g = make_grid(64, 8.0)
     with pytest.raises(ValueError):

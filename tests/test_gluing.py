@@ -5,8 +5,8 @@ import pytest
 
 import sheafkit as sk
 from sheafkit import simplex
-from sheafkit.errors import IncompatibleModel, SizeLimitExceeded
-from sheafkit.presheaf import model_from_dict, restrict
+from sheafkit.errors import IncompatibleModel, InvalidModel, SizeLimitExceeded
+from sheafkit.presheaf import model_from_dict
 from helpers import (
     HALF,
     bell_scenario,
@@ -18,6 +18,7 @@ from helpers import (
     model_to_dict,
     noisy_cycle_model,
     pr_box_model,
+    project,
     random_box_mixture,
     random_global_model,
     random_scenario,
@@ -178,7 +179,7 @@ def test_incidence_one_entry_per_context_per_column():
     for g, rows in zip(inc.columns, inc.column_rows, strict=True):
         # one row per context, in cover order, the section g restricts to
         assert [inc.rows[r] for r in rows] == [
-            (ci, restrict(g, ctx)) for ci, ctx in enumerate(sc.cover)
+            (ci, project(g, ctx.members)) for ci, ctx in enumerate(sc.cover)
         ]
 
 
@@ -400,9 +401,17 @@ def test_round_trip_through_fraction_weights():
     model = random_global_model(rng, sc)
     report = sk.contextual_fraction(model)
     assert sum(report.weights) == 1
-    rebuilt = sk.model_from_global_weights(sc, list(report.weights))
+    weights = dict(zip(report.incidence.columns, report.weights))
+    rebuilt = sk.model_from_global_weights(sc, weights)
     for c in sc.cover:
         assert rebuilt.table(c) == model.table(c)
+
+
+def test_global_weights_must_be_a_mapping():
+    # a list cannot say which global each weight is for: a short one would
+    # leave the remaining globals out
+    with pytest.raises(InvalidModel):
+        sk.model_from_global_weights(bell_scenario(), [1])
 
 
 def test_fraction_cross_checked_against_scipy():

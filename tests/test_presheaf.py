@@ -53,18 +53,25 @@ def test_enumerate_sections_size_limit():
         sk.enumerate_sections(sc.cover[0], sc, limit=2**10)
 
 
+def _restrict(section, subcontext):
+    """The restriction of one section, through ``restriction_map``."""
+    (restricted,), positions = sk.restriction_map((section,), subcontext)
+    assert positions == (0,)
+    return restricted
+
+
 def test_restrict_examples():
     s = sk.LocalSection(("a", "b"), (0, 1))
-    assert sk.restrict(s, ("a",)).as_dict() == {"a": 0}
-    assert sk.restrict(s, ("a", "b")) == s
+    assert _restrict(s, ("a",)).as_dict() == {"a": 0}
+    assert _restrict(s, ("a", "b")) == s
     s2 = sk.LocalSection(("x", "y"), (1, 0))
-    assert sk.restrict(s2, ("y",)).as_dict() == {"y": 0}
+    assert _restrict(s2, ("y",)).as_dict() == {"y": 0}
 
 
 def test_restrict_rejects_noncontainment():
     s = sk.LocalSection(("a",), (0,))
     with pytest.raises(NotASubcontext):
-        sk.restrict(s, ("b",))
+        sk.restriction_map((s,), ("b",))
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,10 +82,10 @@ def test_restrict_functoriality(data):
     section = sk.LocalSection(members, outcomes)
     mid = tuple(m for m in members if data.draw(st.booleans()))
     small = tuple(m for m in mid if data.draw(st.booleans()))
-    via = sk.restrict(sk.restrict(section, mid), small)
-    direct = sk.restrict(section, small)
+    via = _restrict(_restrict(section, mid), small)
+    direct = _restrict(section, small)
     assert via == direct
-    assert sk.restrict(section, members) == section
+    assert _restrict(section, members) == section
 
 
 def _check_restriction_map(sections, subcontext):
@@ -88,7 +95,7 @@ def _check_restriction_map(sections, subcontext):
     assert list(restricted) == sorted(set(restricted), key=lambda s: s.outcomes)
     assert set(positions) == set(range(len(restricted)))
     for section, r in zip(sections, positions, strict=True):
-        assert restricted[r] == sk.restrict(section, subcontext) == project(section, subcontext)
+        assert restricted[r] == _restrict(section, subcontext) == project(section, subcontext)
 
 
 def test_restriction_map_agrees_with_restrict_section_by_section():
@@ -259,7 +266,6 @@ def test_marginals_and_global_projections_match_plain_sums_on_fixtures(mode):
         expected = sk.build_model(
             sc, {ctx: _plain_marginal(dict(zip(columns, weights)), ctx) for ctx in sc.cover}, mode
         )
-        assert sk.model_from_global_weights(sc, weights, mode) == expected
         assert sk.model_from_global_weights(sc, dict(zip(columns, weights)), mode) == expected
 
 
@@ -332,12 +338,13 @@ def test_support_model_orders_sections_lexicographically():
 def test_support_threshold_and_empty_support():
     sc = sk.build_scenario([("a", 2)], [["a"]])
     model = sk.build_model(sc, {("a",): {(0,): HALF, (1,): HALF}})
-    supp = sk.support_of(model, threshold=Fraction(1, 4))
-    assert len(supp.support(sc.cover[0])) == 2
+    assert len(sk.support_of(model).support(sc.cover[0])) == 2
+    floats = sk.build_model(sc, {("a",): {(0,): 1.0, (1,): 1e-13}}, "float")
+    assert [s.outcomes for s in sk.support_of(floats).support(sc.cover[0])] == [(0,)]
+    # a hand-built model skips build_model's validation, so its tables may be all zero
+    zeros = {s: Fraction(0) for s in sk.enumerate_sections(sc.cover[0], sc)}
     with pytest.raises(EmptySupport):
-        sk.support_of(model, threshold=HALF)
-    with pytest.raises(InvalidModel):
-        sk.support_of(model, threshold=Fraction(-1))
+        sk.support_of(sk.EmpiricalModel(sc, "rational", {sc.cover[0]: zeros}))
 
 
 # --- JSON model format -----------------------------------------------------------
