@@ -11,14 +11,11 @@ module integrates the lambda-interpolated wave/classical equations.
 
 from .cohomology import (
     CechInvariants,
-    Cochain0,
     CoboundaryMatrices,
-    FreeAbelianSection,
     ObstructionReport,
     SectionObstruction,
     build_coboundary_matrices,
     cech_invariants,
-    fa_section,
     obstruction,
     obstruction_report,
 )

@@ -10,8 +10,10 @@ lattice extends it, i.e. whether the lattice's projection onto the section's
 context contains the section's generator.  That is decided exactly by Smith
 normal form: one of D0 for a kernel basis, H0 and H1's torsion (D1 adds its
 rank), then one of the projected basis per context for all of its sections.
-Non-vanishing certifies non-extendability; the converse is not asserted
-anywhere.
+A vanishing obstruction's witness is that family as a plain integer tuple w
+over ``CoboundaryMatrices.vertex_basis``: D0 w = 0, and w is the section's
+generator e_s on its context's block.  Non-vanishing certifies
+non-extendability; the converse is not asserted anywhere.
 
 Basis conventions: sections are ordered lexicographically within each cell,
 cells by cover index (edges by (i, j), triangles by (i, j, k), i < j < k),
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from .errors import SizeLimitExceeded
 from .intlinalg import SmithForm, ZMat, kernel_basis, quotient_invariants, smith_normal_form
@@ -32,34 +33,6 @@ from .scenario import Context, Nerve, build_nerve
 
 #: Default ceiling on coboundary matrix entries (rows x cols).
 MATRIX_LIMIT = 10**8
-
-
-@dataclass(frozen=True)
-class FreeAbelianSection:
-    """Finite integer combination of sections over one context."""
-
-    context: Context
-    coefficients: Mapping[LocalSection, int]
-
-    def __post_init__(self) -> None:
-        for sec in self.coefficients:
-            if sec.members != self.context.members:
-                raise ValueError(
-                    f"section over {list(sec.members)} in group element over "
-                    f"{self.context.label()}"
-                )
-
-
-def fa_section(context: Context, coefficients: Mapping[LocalSection, int]) -> FreeAbelianSection:
-    """Normalized constructor: zero coefficients are omitted."""
-    return FreeAbelianSection(context, {s: c for s, c in coefficients.items() if c != 0})
-
-
-@dataclass(frozen=True)
-class Cochain0:
-    """One free-abelian element per nerve vertex."""
-
-    components: tuple[FreeAbelianSection, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -165,28 +138,27 @@ class SectionObstruction:
     context_index: int
     section: LocalSection
     vanishes: bool
-    witness: Cochain0 | None
+    #: the extending family over ``vertex_basis`` when the obstruction vanishes
+    witness: tuple[int, ...] | None
 
 
 def obstruction(
     support_model: SupportModel,
     context_index: int,
     section: LocalSection,
-    matrices: CoboundaryMatrices | None = None,
+    matrices: CoboundaryMatrices,
 ) -> SectionObstruction:
     """Decide whether a compatible integer family extends the section.
 
     With K an integer basis of ker D0, the obstruction vanishes exactly when
     (K restricted to the context's block) z = e_section has an integer
     solution.  The blocks' Smith forms are computed once, for every context,
-    and kept on ``matrices``.  A solution gives the witness family K z, whose
-    component at the context is the section's generator; unsolvability is
-    the non-vanishing obstruction.
+    and kept on ``matrices``.  A solution gives the witness w = K z, one
+    integer per entry of ``matrices.vertex_basis``: D0 w = 0, and on the
+    context's block w is the section's generator e_section.  Unsolvability
+    is the non-vanishing obstruction.
     """
-    if matrices is None:
-        matrices = build_coboundary_matrices(support_model)
-    scenario = support_model.scenario
-    ctx = scenario.cover[context_index]
+    ctx = support_model.scenario.cover[context_index]
     if section not in support_model.support(ctx):
         raise ValueError(f"section {section.label()} not in the support of {ctx.label()}")
 
@@ -201,12 +173,7 @@ def obstruction(
     for zj, k in zip(z, matrices.kernel):
         if zj:
             family = [f + zj * kc for f, kc in zip(family, k)]
-    coeffs: list[dict[LocalSection, int]] = [dict() for _ in scenario.cover]
-    for (vi, s), value in zip(matrices.vertex_basis, family):
-        if value:
-            coeffs[vi][s] = value
-    witness = Cochain0(tuple(fa_section(c, m) for c, m in zip(scenario.cover, coeffs)))
-    return SectionObstruction(context_index, section, True, witness)
+    return SectionObstruction(context_index, section, True, tuple(family))
 
 
 @dataclass(frozen=True)
@@ -216,13 +183,8 @@ class CechInvariants:
     h1_torsion: tuple[int, ...]
 
 
-def cech_invariants(
-    support_model: SupportModel,
-    matrices: CoboundaryMatrices | None = None,
-) -> CechInvariants:
+def cech_invariants(matrices: CoboundaryMatrices) -> CechInvariants:
     """H0 = ker D0; H1 = ker D1 / im D0, once D1 . D0 = 0 is checked."""
-    if matrices is None:
-        matrices = build_coboundary_matrices(support_model)
     if not matrices.d1.matmul(matrices.d0).is_zero():
         raise ValueError("D1 . D0 != 0; not a chain complex")
     h0 = len(matrices.kernel)
@@ -257,4 +219,4 @@ def obstruction_report(
         for ci, ctx in enumerate(support_model.scenario.cover)
         for section in support_model.support(ctx)
     )
-    return ObstructionReport(entries, cech_invariants(support_model, matrices))
+    return ObstructionReport(entries, cech_invariants(matrices))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import OutcomeOutOfRange, ParseError
 from .presheaf import SupportModel
@@ -131,6 +131,12 @@ def _wrap(prop: Proposition, bare: tuple[type, ...]) -> str:
 # Mini-language: atoms `obs=k`; operators `!`, `&`, `|`, `->` with that
 # precedence (tightest first) and right-associative implication.
 
+#: Deepest nesting a proposition may have.  The parser counts a level for each
+#: `!`, `(` and `->` it descends into; the parsed tree counts one for each
+#: connective.  Parsing, evaluating and printing recurse a few frames per
+#: level, so the deepest accepted proposition stays inside the recursion limit.
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(->|[()&|!=]|[A-Za-z_][A-Za-z_0-9]*|\d+)")
 
 
@@ -153,6 +159,7 @@ class _Parser:
         self.tokens = tokens
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -166,6 +173,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nested(self, rule: Callable[[], Proposition]) -> Proposition:
+        """Parse ``rule`` one level deeper."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"proposition nested deeper than {_MAX_DEPTH} levels")
+        node = rule()
+        self.depth -= 1
+        return node
+
     def parse(self) -> Proposition:
         prop = self.implication()
         if self.peek() is not None:
@@ -176,7 +192,7 @@ class _Parser:
         left = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.implication())
+            return Implies(left, self.nested(self.implication))
         return left
 
     def disjunction(self) -> Proposition:
@@ -197,10 +213,10 @@ class _Parser:
         tok = self.peek()
         if tok == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok == "(":
             self.take()
-            node = self.implication()
+            node = self.nested(self.implication)
             self.take(")")
             return node
         return self.atom()
@@ -221,7 +237,15 @@ def parse_proposition(text: str) -> Proposition:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty proposition")
-    return _Parser(tokens, text).parse()
+    prop = _Parser(tokens, text).parse()
+    # `&` and `|` chains nest in the tree without nesting the parse
+    level, depth = [prop], 0
+    while level := [c for p in level if not isinstance(p, Atom)
+                    for c in ((p.operand,) if isinstance(p, Not) else (p.left, p.right))]:
+        depth += 1
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"proposition nested deeper than {_MAX_DEPTH} levels")
+    return prop
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,6 @@ class LocalSection:
         return ",".join(str(o) for o in self.outcomes)
 
 
-def _member_tuple(context: Context | Iterable[str]) -> tuple[str, ...]:
-    return context.members if isinstance(context, Context) else tuple(context)
-
-
 def restriction_map(
     sections: Iterable[LocalSection], subcontext: Context | Iterable[str]
 ) -> tuple[tuple[LocalSection, ...], tuple[int, ...]]:
@@ -80,7 +76,7 @@ def restriction_map(
     sections may span several domains; each domain's kept positions are
     worked out once.  A restriction lists its members in its section's order.
     """
-    wanted = set(_member_tuple(subcontext))
+    wanted = set(subcontext)
     kept: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[str, ...]]] = {}
     keys = []
     for section in sections:
@@ -151,12 +147,12 @@ def _coerce(value: object, mode: str) -> Number:
             )
         try:
             return Fraction(value)  # type: ignore[arg-type]
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise InvalidModel(f"cannot read {value!r} as a rational") from exc
     try:
         # accept "p/q" strings too, so rational files can be re-read as float
         number = float(Fraction(value)) if isinstance(value, str) else float(value)  # type: ignore[arg-type]
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise InvalidModel(f"cannot read {value!r} as a float") from exc
     if not math.isfinite(number):
         raise InvalidModel(f"probability {value!r} is not finite")
@@ -178,7 +174,7 @@ def build_model(
         raise InvalidModel(f"unknown numeric mode {mode!r}")
     by_context: dict[Context, dict[object, object]] = {}
     for raw_ctx, raw_table in tables.items():
-        ctx = raw_ctx if isinstance(raw_ctx, Context) else scenario.context(_member_tuple(raw_ctx))
+        ctx = raw_ctx if isinstance(raw_ctx, Context) else scenario.context(raw_ctx)
         if ctx in by_context:
             raise InvalidModel(f"two tables given for context {ctx.label()}")
         by_context[ctx] = dict(raw_table)

@@ -4,10 +4,10 @@ The oracles here deliberately avoid the library's decision paths: global
 search is plain itertools enumeration, rational rank is a fresh Gaussian
 elimination, LP answers are checked through duality certificates and against
 a dense tableau, a section's obstruction is re-decided by its own integer
-system, H1 is re-derived in kernel coordinates, the degree-0 coboundary is
-taken section by section through restriction, the incidence and both
-coboundary matrices are rebuilt one projected section at a time, and the
-dynamics is re-run by the plain four-FFT split step.
+system, H1 is re-derived in kernel coordinates, the incidence and both
+coboundary matrices are rebuilt one projected section at a time (an
+obstruction witness is checked against that D0), and the dynamics is re-run
+by the plain four-FFT split step.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import itertools
 import json
 import random
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,7 +24,6 @@ import numpy as np
 
 import sheafkit as sk
 from sheafkit import dynamics, simplex
-from sheafkit.cohomology import Cochain0, FreeAbelianSection, fa_section
 from sheafkit.errors import SolverBudgetExceeded
 from sheafkit.intlinalg import ZMat, kernel_basis, smith_normal_form
 from sheafkit.presheaf import model_from_dict
@@ -303,6 +301,22 @@ def free_column_vanishes(matrices, context_index: int, section: sk.LocalSection)
     return smith_normal_form(a).solve([-row[fixed] for row in d0.a]) is not None
 
 
+def assert_witness(reference, context_index: int, section: sk.LocalSection, witness) -> None:
+    """``witness`` is a compatible integer family through the section.
+
+    ``reference`` is ``reference_coboundary`` of the support model: the
+    witness is one integer per vertex-basis entry, D0 sends it to zero, and
+    on the context's block it is the section's generator.
+    """
+    vertex_basis, _, _, d0, _ = reference
+    assert isinstance(witness, tuple) and len(witness) == len(vertex_basis)
+    assert all(type(w) is int for w in witness)
+    assert all(sum(a * w for a, w in zip(row, witness)) == 0 for row in d0.a)
+    block = [(int(s == section), w)
+             for (vi, s), w in zip(vertex_basis, witness) if vi == context_index]
+    assert sum(e for e, _ in block) == 1 and all(e == w for e, w in block)
+
+
 def kernel_coordinate_invariants(d_out: ZMat, d_in: ZMat) -> tuple[int, list[int]]:
     """ker(d_out) / im(d_in) as (free rank, torsion divisors), the long way.
 
@@ -318,52 +332,6 @@ def kernel_coordinate_invariants(d_out: ZMat, d_in: ZMat) -> tuple[int, list[int
         raise ValueError("im(d_in) is not inside ker(d_out)")
     nf = smith_normal_form(ZMat(r, d_in.n, [[x[i] for x in coords] for i in range(r)]))
     return r - nf.rank, [d for d in nf.divisors if d != 1]
-
-
-def fa_sub(a: FreeAbelianSection, b: FreeAbelianSection) -> FreeAbelianSection:
-    if a.context != b.context:
-        raise ValueError("cannot combine group elements over different contexts")
-    out = dict(a.coefficients)
-    for s, c in b.coefficients.items():
-        out[s] = out.get(s, 0) - c
-    return fa_section(a.context, out)
-
-
-def zf_restrict(element: FreeAbelianSection,
-                subcontext: sk.Context | Iterable[str]) -> FreeAbelianSection:
-    """Linear extension of section restriction.
-
-    Sections that restrict to the same sub-section pool their coefficients,
-    so cancellation is possible.
-    """
-    target = subcontext if isinstance(subcontext, sk.Context) else sk.Context(tuple(subcontext))
-    out: dict[sk.LocalSection, int] = {}
-    for sec, coef in element.coefficients.items():
-        sub = project(sec, target.members)
-        out[sub] = out.get(sub, 0) + coef
-    return fa_section(target, out)
-
-
-@dataclass(frozen=True)
-class Cochain1:
-    """One free-abelian element per nerve edge."""
-
-    components: tuple[FreeAbelianSection, ...]
-
-
-def coboundary0(cochain: Cochain0, nerve: sk.Nerve) -> Cochain1:
-    """Edge components s_j|overlap - s_i|overlap; zero iff the family glues."""
-    if len(cochain.components) != len(nerve.vertices):
-        raise ValueError("cochain is not indexed by the nerve's vertices")
-    for comp, ctx in zip(cochain.components, nerve.vertices):
-        if comp.context != ctx:
-            raise ValueError(f"component context {comp.context.label()} != {ctx.label()}")
-    parts = []
-    for edge in nerve.edges:
-        si = zf_restrict(cochain.components[edge.i], edge.context)
-        sj = zf_restrict(cochain.components[edge.j], edge.context)
-        parts.append(fa_sub(sj, si))
-    return Cochain1(tuple(parts))
 
 
 def project(section: sk.LocalSection, subcontext: Iterable[str]) -> sk.LocalSection:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sheafkit as sk
-from sheafkit import cli
+from sheafkit import cli, ctxlogic
 
 
 def run_cli(args, capsys):
@@ -112,12 +112,17 @@ def _float_model(probs):
                        "--vis-rel-floor", "nan", "--potential"]),
         ([0.0] * 512, ["evolve", "--lambda", "1", "--t-final", "0.001",
                        "--vis-rel-floor=-1", "--potential"]),
+        *(({"scenario": _SCENARIO, "tables": [{"context": ["a1", "b1"], "probs": {"00": "1/0"}}]},
+           [command, "--mode", mode])
+          for mode in ("rational", "float") for command in ("check", "fraction", "cohomology")),
     ],
     ids=["context-int", "context-nested", "list-model-mode", "map-not-pairs",
          "float-nan", "float-infinity", "float-overflow", "potential-object",
          "potential-nan", "potential-bool", "map-bool", "float-bool", "rational-bool",
          "section-spelled-twice", "context-tabled-twice", "sigma0-infinite",
-         "vis-floor-nan", "vis-floor-negative"],
+         "vis-floor-nan", "vis-floor-negative",
+         *(f"zero-denominator-{mode}-{command}"
+           for mode in ("rational", "float") for command in ("check", "fraction", "cohomology"))],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
     path = tmp_path / "input.json"
@@ -349,6 +354,20 @@ def test_logic_triangle_mode_vi(capsys):
 def test_logic_bad_proposition(capsys):
     code, _, err = run_cli(["logic", "triangle", "--prop", "x=0 &"], capsys)
     assert code == cli.EXIT_INVALID
+
+
+@pytest.mark.parametrize("nest", [
+    lambda n: "!" * n + "x=0",
+    lambda n: "(" * n + "x=0" + ")" * n,
+    lambda n: " -> ".join(["x=0"] * (n + 1)),
+], ids=["not", "parentheses", "implication"])
+def test_logic_caps_nesting(capsys, nest):
+    argv = ["logic", "triangle", "--no-timings", "--prop"]
+    assert run_cli(argv + [nest(ctxlogic._MAX_DEPTH)], capsys)[0] == cli.EXIT_OK
+    code, out, err = run_cli(argv + [nest(ctxlogic._MAX_DEPTH + 1)], capsys)
+    assert code == cli.EXIT_INVALID
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_logic_unknown_observable(capsys):

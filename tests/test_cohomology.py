@@ -8,10 +8,8 @@ import pytest
 import sheafkit as sk
 from sheafkit import cli, cohomology, intlinalg
 from sheafkit.cohomology import (
-    Cochain0,
     build_coboundary_matrices,
     cech_invariants,
-    fa_section,
     obstruction,
     obstruction_report,
 )
@@ -19,10 +17,11 @@ from sheafkit.errors import SizeLimitExceeded
 from sheafkit.intlinalg import ZMat
 from helpers import (
     HALF,
+    assert_witness,
     bell_scenario,
     brute_force_extends,
-    coboundary0,
     deterministic_model,
+    fixture_model,
     free_column_vanishes,
     kernel_coordinate_invariants,
     model_to_dict,
@@ -35,7 +34,6 @@ from helpers import (
     reference_coboundary,
     triangle_anticorrelated_model,
     triangle_scenario,
-    zf_restrict,
 )
 
 F = Fraction
@@ -45,69 +43,36 @@ def sec(members, outcomes):
     return sk.LocalSection(tuple(members), tuple(outcomes))
 
 
-# --- free abelian restriction ------------------------------------------------
+# --- degree-0 coboundary on indicator families --------------------------------
 
 
-def test_zf_restrict_single_generator():
-    ctx = sk.Context(("a", "b"))
-    elt = fa_section(ctx, {sec(("a", "b"), (0, 0)): 1})
-    out = zf_restrict(elt, ("a",))
-    assert out.coefficients == {sec(("a",), (0,)): 1}
+def _full_support_matrices(sc):
+    """Coboundary matrices of the model with every section supported."""
+    tables = {}
+    for c in sc.cover:
+        sections = sk.enumerate_sections(c, sc)
+        tables[c.members] = {s.outcomes: F(1, len(sections)) for s in sections}
+    return build_coboundary_matrices(sk.support_of(sk.build_model(sc, tables)))
 
 
-def test_zf_restrict_merges_coefficients():
-    ctx = sk.Context(("a", "b"))
-    elt = fa_section(ctx, {sec(("a", "b"), (0, 0)): 1, sec(("a", "b"), (0, 1)): 1})
-    out = zf_restrict(elt, ("a",))
-    assert out.coefficients == {sec(("a",), (0,)): 2}
-
-
-def test_zf_restrict_cancels():
-    ctx = sk.Context(("a", "b"))
-    elt = fa_section(ctx, {sec(("a", "b"), (0, 0)): 1, sec(("a", "b"), (1, 0)): -1})
-    out = zf_restrict(elt, ("b",))
-    assert not out.coefficients
-
-
-def test_zf_restrict_additive():
-    rng = random.Random(11)
-    ctx = sk.Context(("a", "b", "c"))
-    secs = [sec(("a", "b", "c"), (i, j, k)) for i in range(2) for j in range(2) for k in range(2)]
-    for _ in range(30):
-        u = fa_section(ctx, {s: rng.randint(-3, 3) for s in rng.sample(secs, 4)})
-        v = fa_section(ctx, {s: rng.randint(-3, 3) for s in rng.sample(secs, 4)})
-        merged = dict(u.coefficients)
-        for s, c in v.coefficients.items():
-            merged[s] = merged.get(s, 0) + c
-        w = fa_section(ctx, merged)
-        target = ("a", "c")
-        left = zf_restrict(w, target).coefficients
-        ru, rv = zf_restrict(u, target).coefficients, zf_restrict(v, target).coefficients
-        combined = dict(ru)
-        for s, c in rv.items():
-            combined[s] = combined.get(s, 0) + c
-        combined = {s: c for s, c in combined.items() if c}
-        assert left == combined
-
-
-# --- degree-0 coboundary -------------------------------------------------------
+def _image_of_picks(mats, picks):
+    """D0 times the family with one 1 per context, at the picked outcomes."""
+    family = [int(s.outcomes == picks[mats.nerve.vertices[vi].members])
+              for vi, s in mats.vertex_basis]
+    assert sum(family) == len(mats.nerve.vertices)
+    return [sum(a * w for a, w in zip(row, family)) for row in mats.d0.a]
 
 
 def test_coboundary_of_compatible_family_is_zero():
-    sc = triangle_scenario()
-    nerve = sk.build_nerve(sc)
+    # the restrictions of one global assignment agree on every overlap
+    mats = _full_support_matrices(triangle_scenario())
     g = {"x": 0, "y": 1, "z": 0}
-    comps = tuple(
-        fa_section(c, {sec(c.members, tuple(g[m] for m in c.members)): 1})
-        for c in nerve.vertices
-    )
-    image = coboundary0(Cochain0(comps), nerve)
-    assert not any(part.coefficients for part in image.components)
+    picks = {c.members: tuple(g[m] for m in c.members) for c in mats.nerve.vertices}
+    assert mats.d0.m and not any(_image_of_picks(mats, picks))
 
 
 def test_coboundary_pr_box_family():
-    sc = bell_scenario()
-    nerve = sk.build_nerve(sc)
+    mats = _full_support_matrices(bell_scenario())
     # family: 00 in (a1,b1), 01 in (a1,b2), 00 in (a2,b1), 00 in (a2,b2)
     picks = {
         ("a1", "b1"): (0, 0),
@@ -115,30 +80,20 @@ def test_coboundary_pr_box_family():
         ("a2", "b1"): (0, 0),
         ("a2", "b2"): (0, 0),
     }
-    comps = tuple(
-        fa_section(c, {sec(c.members, picks[c.members]): 1}) for c in nerve.vertices
-    )
-    image = coboundary0(Cochain0(comps), nerve)
-    by_edge = {nerve.edges[i].context.members: image.components[i] for i in range(len(nerve.edges))}
+    image = _image_of_picks(mats, picks)
+    by_edge = {}
+    for value, (ei, _) in zip(image, mats.edge_basis):
+        by_edge.setdefault(mats.nerve.edges[ei].context.members, []).append(value)
     # both (a1,*) picks restrict to a1=0: zero difference on edge {a1}
-    assert not by_edge[("a1",)].coefficients
-    # edge {b2}: (a2,b2) gives b2=0 but (a1,b2) gives b2=1: non-zero
-    assert by_edge[("b2",)].coefficients
+    assert by_edge[("a1",)] == [0, 0]
+    # edge {b2}: (a2,b2) gives b2=0 but (a1,b2) gives b2=1: +-1 on its two rows
+    assert sorted(by_edge[("b2",)]) == [-1, 1]
 
 
 def test_coboundary_no_edges():
-    sc = sk.build_scenario([("a", 2), ("b", 2)], [["a"], ["b"]])
-    nerve = sk.build_nerve(sc)
-    comps = tuple(fa_section(c, {sec(c.members, (0,)): 1}) for c in nerve.vertices)
-    image = coboundary0(Cochain0(comps), nerve)
-    assert image.components == ()
-
-
-def test_coboundary_validates_indexing():
-    sc = triangle_scenario()
-    nerve = sk.build_nerve(sc)
-    with pytest.raises(ValueError):
-        coboundary0(Cochain0(()), nerve)
+    mats = _full_support_matrices(sk.build_scenario([("a", 2), ("b", 2)], [["a"], ["b"]]))
+    assert (mats.d0.m, mats.d0.n) == (0, 4)
+    assert _image_of_picks(mats, {("a",): (0,), ("b",): (0,)}) == []
 
 
 # --- coboundary matrices ---------------------------------------------------------
@@ -255,15 +210,27 @@ def test_d1_after_d0_zero_on_random_models():
 def test_deterministic_model_obstructions_vanish_with_witness():
     supp = sk.support_of(deterministic_model())
     mats = build_coboundary_matrices(supp)
-    nerve = mats.nerve
+    reference = reference_coboundary(supp)
     for ci, ctx in enumerate(supp.scenario.cover):
         for section in supp.support(ctx):
             res = obstruction(supp, ci, section, mats)
             assert res.vanishes
             # the witness is a genuine compatible family through the section
-            assert res.witness.components[ci].coefficients == {section: 1}
-            image = coboundary0(res.witness, nerve)
-            assert not any(part.coefficients for part in image.components)
+            assert_witness(reference, ci, section, res.witness)
+
+
+def test_fixture_witnesses_verify():
+    seen = {True: 0, False: 0}
+    for name in ("bell_uniform", "deterministic", "prbox", "triangle_anticorrelated"):
+        supp = sk.support_of(fixture_model(name))
+        reference = reference_coboundary(supp)
+        for e in obstruction_report(supp).entries:
+            seen[e.vanishes] += 1
+            if e.vanishes:
+                assert_witness(reference, e.context_index, e.section, e.witness)
+            else:
+                assert e.witness is None
+    assert all(seen.values()), seen
 
 
 def test_pr_box_all_obstructions_nonvanishing():
@@ -303,7 +270,7 @@ def test_obstruction_requires_supported_section():
     supp = sk.support_of(pr_box_model())
     bad = sec(("a1", "b1"), (0, 1))
     with pytest.raises(ValueError):
-        obstruction(supp, 0, bad)
+        obstruction(supp, 0, bad, build_coboundary_matrices(supp))
 
 
 def test_soundness_on_random_models():
@@ -315,14 +282,13 @@ def test_soundness_on_random_models():
         sc = random_scenario(rng)
         supp = random_support_model(rng, sc)
         mats = build_coboundary_matrices(supp)
-        nerve = mats.nerve
+        reference = reference_coboundary(supp)
         for ci, ctx in enumerate(sc.cover):
             for section in supp.support(ctx):
                 if brute_force_extends(supp, ci, section):
                     res = obstruction(supp, ci, section, mats)
                     assert res.vanishes
-                    image = coboundary0(res.witness, nerve)
-                    assert not any(part.coefficients for part in image.components)
+                    assert_witness(reference, ci, section, res.witness)
                     checked += 1
     assert checked > 100
 
@@ -386,14 +352,13 @@ def test_report_agrees_with_free_column_oracle():
     seen = {"triangles": 0, True: 0, False: 0}
     for supp in models:
         mats = build_coboundary_matrices(supp)
+        reference = reference_coboundary(supp)
         seen["triangles"] += bool(mats.nerve.triangles)
         for e in obstruction_report(supp).entries:
             assert e.vanishes == free_column_vanishes(mats, e.context_index, e.section)
             seen[e.vanishes] += 1
             if e.vanishes:
-                assert e.witness.components[e.context_index].coefficients == {e.section: 1}
-                image = coboundary0(e.witness, mats.nerve)
-                assert not any(part.coefficients for part in image.components)
+                assert_witness(reference, e.context_index, e.section, e.witness)
     assert all(seen.values()), seen
 
 
@@ -403,21 +368,21 @@ def test_report_agrees_with_free_column_oracle():
 def test_invariants_single_context():
     sc = sk.build_scenario([("a", 3)], [["a"]])
     model = sk.build_model(sc, {("a",): {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)}})
-    inv = cech_invariants(sk.support_of(model))
+    inv = cech_invariants(build_coboundary_matrices(sk.support_of(model)))
     assert inv.h0_rank == 3
     assert inv.h1_rank == 0 and inv.h1_torsion == ()
 
 
 def test_invariants_glueable_model_has_kernel():
-    inv = cech_invariants(sk.support_of(deterministic_model()))
+    inv = cech_invariants(build_coboundary_matrices(sk.support_of(deterministic_model())))
     assert inv.h0_rank >= 1
 
 
 def test_invariants_frozen_fixture_values():
     # regression values; free ranks independently confirmed by rational rank
-    pr = cech_invariants(sk.support_of(pr_box_model()))
+    pr = cech_invariants(build_coboundary_matrices(sk.support_of(pr_box_model())))
     assert (pr.h0_rank, pr.h1_rank, pr.h1_torsion) == (1, 1, ())
-    tri = cech_invariants(sk.support_of(triangle_anticorrelated_model()))
+    tri = cech_invariants(build_coboundary_matrices(sk.support_of(triangle_anticorrelated_model())))
     assert (tri.h0_rank, tri.h1_rank, tri.h1_torsion) == (1, 1, ())
 
 
@@ -431,7 +396,7 @@ def test_invariant_free_ranks_match_rational_ranks():
     cases += [random_support_model(rng, random_scenario(rng)) for _ in range(20)]
     for supp in cases:
         mats = build_coboundary_matrices(supp)
-        inv = cech_invariants(supp, mats)
+        inv = cech_invariants(mats)
         d0q = [[F(v) for v in row] for row in mats.d0.a]
         d1q = [[F(v) for v in row] for row in mats.d1.a]
         r0 = q_rank(d0q)
@@ -449,7 +414,7 @@ def test_torsion_matches_sympy():
         sc = random_scenario(rng)
         supp = random_support_model(rng, sc)
         mats = build_coboundary_matrices(supp)
-        inv = cech_invariants(supp, mats)
+        inv = cech_invariants(mats)
         # ker D1 is saturated in C1, so H1's torsion is that of C1 / im D0
         if mats.d0.m and mats.d0.n:
             snf = sympy_snf(sympy.Matrix(mats.d0.a))
@@ -480,7 +445,7 @@ def test_invariants_match_kernel_coordinates_on_random_supports():
     with_triangles = 0
     for supp in cases:
         mats = build_coboundary_matrices(supp)
-        inv = cech_invariants(supp, mats)
+        inv = cech_invariants(mats)
         h1_rank, torsion = kernel_coordinate_invariants(mats.d1, mats.d0)
         assert (inv.h1_rank, inv.h1_torsion) == (h1_rank, tuple(torsion))
         with_triangles += bool(mats.nerve.triangles)
@@ -492,7 +457,7 @@ def test_cech_invariants_require_chain_complex():
     mats = build_coboundary_matrices(supp)
     bad = ZMat(1, mats.d0.m, [[row[0] for row in mats.d0.a]])  # D1 . D0 has (D0^T D0)[0][0] > 0
     with pytest.raises(ValueError):
-        cech_invariants(supp, dataclasses.replace(mats, d1=bad))
+        cech_invariants(dataclasses.replace(mats, d1=bad))
 
 
 def test_invariants_independent_of_cover_order():
@@ -508,6 +473,6 @@ def test_invariants_independent_of_cover_order():
         for i in range(4)
     }
     permuted = sk.build_model(permuted_sc, tables)
-    a = cech_invariants(sk.support_of(model))
-    b = cech_invariants(sk.support_of(permuted))
+    a = cech_invariants(build_coboundary_matrices(sk.support_of(model)))
+    b = cech_invariants(build_coboundary_matrices(sk.support_of(permuted)))
     assert (a.h0_rank, a.h1_rank, a.h1_torsion) == (b.h0_rank, b.h1_rank, b.h1_torsion)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import sheafkit as sk
+from sheafkit import ctxlogic
 from sheafkit.ctxlogic import (
     And,
     Atom,
@@ -108,6 +109,27 @@ def test_parse_errors():
     for bad in ("", "x=", "x==1", "x=1 &", "(x=1", "x=1)", "x = % 1", "1=x", "x->1"):
         with pytest.raises(ParseError):
             parse_proposition(bad)
+
+
+NESTINGS = {
+    "not": lambda n: "!" * n + "x=0",
+    "parentheses": lambda n: "(" * n + "x=0" + ")" * n,
+    "implication": lambda n: " -> ".join(["x=0"] * (n + 1)),
+    "conjunction": lambda n: " & ".join(["x=0"] * (n + 1)),
+    "disjunction": lambda n: " | ".join(["x=0"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_is_capped(shape):
+    cap = ctxlogic._MAX_DEPTH
+    prop = parse_proposition(NESTINGS[shape](cap))
+    # the deepest accepted proposition evaluates, prints and re-parses
+    supp = deterministic_support(triangle_scenario(), {"x": 0, "y": 0, "z": 0})
+    assert eval_in_context(supp, supp.scenario.cover[0], prop) in VALUES
+    assert parse_proposition(proposition_to_str(prop)) == prop
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_proposition(NESTINGS[shape](cap + 1))
 
 
 def test_round_trip_through_pretty_printer():

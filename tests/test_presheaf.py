@@ -169,6 +169,13 @@ def test_build_model_rejects_float_in_rational_mode():
         sk.build_model(sc, {("a",): {(0,): 0.5, (1,): 0.5}})
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_build_model_rejects_zero_denominator(mode):
+    sc = sk.build_scenario([("a", 2)], [["a"]])
+    with pytest.raises(InvalidModel):
+        sk.build_model(sc, {("a",): {(0,): "1/0"}}, mode=mode)
+
+
 def test_build_model_rejects_out_of_range_outcome():
     sc = sk.build_scenario([("a", 2)], [["a"]])
     with pytest.raises(OutcomeOutOfRange):
