@@ -23,7 +23,6 @@ from .ctxlogic import (
     Atom,
     And,
     Classification,
-    ContextProfile,
     Implies,
     Not,
     Or,
@@ -33,7 +32,6 @@ from .ctxlogic import (
     classify,
     eval_in_context,
     parse_proposition,
-    profile,
     seven_value_of,
 )
 from .errors import (
@@ -66,7 +64,6 @@ from .gluing import (
     sheaf_check,
 )
 from .presheaf import (
-    CompatibilityReport,
     CompatibilityViolation,
     EmpiricalModel,
     LocalSection,
@@ -81,9 +78,7 @@ from .presheaf import (
 from .scenario import (
     Context,
     MeasurementScenario,
-    Nerve,
     Observable,
-    build_nerve,
     build_scenario,
     load_scenario,
 )

@@ -31,7 +31,7 @@ from .ctxlogic import parse_proposition, proposition_to_str, seven_value_of
 from .errors import IncompatibleModel, SheafkitError
 from .gluing import GLOBAL_LIMIT, NODE_BUDGET, classify_contextuality, contextual_fraction
 from .presheaf import (
-    CompatibilityReport,
+    CompatibilityViolation,
     EmpiricalModel,
     check_compatibility,
     model_from_dict,
@@ -139,15 +139,15 @@ def emit(args: argparse.Namespace, report: dict, text: str | None = None) -> Non
 
 
 def emit_incompatible(args: argparse.Namespace, subcommand: str, meta: dict,
-                      compat: CompatibilityReport, started: float) -> int:
+                      violations: tuple[CompatibilityViolation, ...], started: float) -> int:
     """Report each pair of contexts whose marginals disagree; invalid input."""
-    violations = [
+    rows = [
         {"pair": list(v.pair), "overlap": v.overlap.label(), "discrepancy": v.discrepancy}
-        for v in compat.violations
+        for v in violations
     ]
     report = make_report(args, subcommand, {"model": meta},
-                         {"error": "incompatible model", "violations": violations}, started)
-    emit(args, report, text=f"incompatible model: {len(violations)} violation(s)\n")
+                         {"error": "incompatible model", "violations": rows}, started)
+    emit(args, report, text=f"incompatible model: {len(rows)} violation(s)\n")
     return EXIT_INVALID
 
 
@@ -162,7 +162,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         verdict = classify_contextuality(model, node_budget=args.budget_nodes,
                                          limit=args.budget_globals, budget=args.budget_pivots)
     except IncompatibleModel as exc:
-        return emit_incompatible(args, "check", meta, exc.report, started)
+        return emit_incompatible(args, "check", meta, exc.violations, started)
     results = {
         "compatible": True,
         "noncontextual": verdict.noncontextual,
@@ -199,9 +199,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_fraction(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
-    compat = check_compatibility(model)
-    if not compat.ok:
-        return emit_incompatible(args, "fraction", meta, compat, started)
+    violations = check_compatibility(model)
+    if violations:
+        return emit_incompatible(args, "fraction", meta, violations, started)
     fr = contextual_fraction(model, limit=args.budget_globals, budget=args.budget_pivots)
     weights = {
         g.label(): w
@@ -282,16 +282,11 @@ def _parse_initial(spec: str, grid: Grid, params) -> LambdaState:
     fields = [float(v) for v in rest.split(",")] if rest else []
     if not all(math.isfinite(v) for v in fields):
         raise SheafkitError(f"bad --initial {spec!r}; every field must be finite")
-    if kind == "gaussian":
-        if len(fields) == 2:
-            return dynamics.gaussian_state(grid, params, fields[0], fields[1])
-        if len(fields) == 3:
-            return dynamics.gaussian_state(grid, params, fields[0], fields[1], fields[2])
-    elif kind == "two-gaussian":
-        if len(fields) == 2:
-            return dynamics.two_gaussian_state(grid, params, fields[0], fields[1])
-        if len(fields) == 3:
-            return dynamics.two_gaussian_state(grid, params, fields[0], fields[1], fields[2])
+    if len(fields) in (2, 3):
+        if kind == "gaussian":
+            return dynamics.gaussian_state(grid, params, fields[0], fields[1], *fields[2:])
+        if kind == "two-gaussian":
+            return dynamics.two_gaussian_state(grid, params, fields[0], fields[1], *fields[2:])
     raise SheafkitError(
         f"bad --initial {spec!r}; expected gaussian:mu,sigma0[,p] or two-gaussian:sep,sigma0[,p]"
     )

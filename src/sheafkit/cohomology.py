@@ -15,6 +15,8 @@ over ``CoboundaryMatrices.vertex_basis``: D0 w = 0, and w is the section's
 generator e_s on its context's block.  Non-vanishing certifies
 non-extendability; the converse is not asserted anywhere.
 
+The nerve's cells, the non-empty pairwise and triple overlaps of the cover,
+are enumerated by :func:`build_coboundary_matrices` as it assembles D0 and D1.
 Basis conventions: sections are ordered lexicographically within each cell,
 cells by cover index (edges by (i, j), triangles by (i, j, k), i < j < k),
 with the alternating signs that convention induces.  Invariants do not
@@ -23,13 +25,14 @@ depend on these choices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SizeLimitExceeded
 from .intlinalg import SmithForm, ZMat, kernel_basis, quotient_invariants, smith_normal_form
 from .presheaf import LocalSection, SupportModel, restriction_map
-from .scenario import Context, Nerve, build_nerve
+from .scenario import Context
 
 #: Default ceiling on coboundary matrix entries (rows x cols).
 MATRIX_LIMIT = 10**8
@@ -48,7 +51,6 @@ class CoboundaryMatrices:
     per-context projections of the kernel are computed on first use and kept.
     """
 
-    nerve: Nerve
     vertex_basis: tuple[tuple[int, LocalSection], ...]
     edge_basis: tuple[tuple[int, LocalSection], ...]
     triangle_basis: tuple[tuple[int, LocalSection], ...]
@@ -65,15 +67,17 @@ class CoboundaryMatrices:
         return kernel_basis(self.d0_form)
 
     @cached_property
-    def projections(self) -> list[tuple[list[int], SmithForm]]:
-        """Per context: its block of D0 columns and the Smith form of ker D0
-        projected onto it (the projected basis spans the projection)."""
+    def projections(self) -> dict[int, tuple[list[int], SmithForm]]:
+        """Per context index in ``vertex_basis``: its block of D0 columns and
+        the Smith form of ker D0 projected onto it (the projected basis spans
+        the projection)."""
         kernel = self.kernel
-        blocks: list[list[int]] = [[] for _ in self.nerve.vertices]
+        blocks: dict[int, list[int]] = {}
         for c, (vi, _) in enumerate(self.vertex_basis):
-            blocks[vi].append(c)
-        projected = (ZMat(len(b), len(kernel), [[k[c] for k in kernel] for c in b]) for b in blocks)
-        return [(b, smith_normal_form(p)) for b, p in zip(blocks, projected)]
+            blocks.setdefault(vi, []).append(c)
+        projected = (ZMat(len(b), len(kernel), [[k[c] for k in kernel] for c in b])
+                     for b in blocks.values())
+        return {vi: (b, smith_normal_form(p)) for (vi, b), p in zip(blocks.items(), projected)}
 
 
 def _coboundary(
@@ -114,19 +118,24 @@ def build_coboundary_matrices(
     when the invariants are computed.  ``limit`` bounds each matrix, and is
     checked before it is allocated.
     """
-    nerve = build_nerve(support_model.scenario)
+    cover = support_model.scenario.cover
     vertex_basis = tuple(
-        (vi, s) for vi, ctx in enumerate(nerve.vertices) for s in support_model.support(ctx)
+        (vi, s) for vi, ctx in enumerate(cover) for s in support_model.support(ctx)
     )
-    edges = [(e.context, ((e.j, 1), (e.i, -1))) for e in nerve.edges]
+    edges, edge_of = [], {}
+    for i, j in itertools.combinations(range(len(cover)), 2):
+        overlap = cover[i].intersect(cover[j])
+        if overlap.members:
+            edge_of[i, j] = len(edges)
+            edges.append((overlap, ((j, 1), (i, -1))))
     edge_basis, d0 = _coboundary(edges, vertex_basis, limit)
-    edge_of = {(e.i, e.j): ei for ei, e in enumerate(nerve.edges)}
     triangles = [
-        (t.context, ((edge_of[t.j, t.k], 1), (edge_of[t.i, t.k], -1), (edge_of[t.i, t.j], 1)))
-        for t in nerve.triangles
+        (overlap, ((edge_of[j, k], 1), (edge_of[i, k], -1), (edge_of[i, j], 1)))
+        for i, j, k in itertools.combinations(range(len(cover)), 3)
+        if (overlap := cover[i].intersect(cover[j]).intersect(cover[k])).members
     ]
     triangle_basis, d1 = _coboundary(triangles, edge_basis, limit)
-    return CoboundaryMatrices(nerve, vertex_basis, edge_basis, triangle_basis, d0, d1)
+    return CoboundaryMatrices(vertex_basis, edge_basis, triangle_basis, d0, d1)
 
 
 # ---------------------------------------------------------------------------

@@ -287,29 +287,6 @@ def eval_in_context(
     return U
 
 
-@dataclass(frozen=True)
-class ContextProfile:
-    """One three-valued verdict per cover context."""
-
-    contexts: tuple[Context, ...]
-    values: tuple[ThreeValue, ...]
-
-    def items(self) -> Iterator[tuple[Context, ThreeValue]]:
-        return iter(zip(self.contexts, self.values))
-
-    def attained(self) -> frozenset[ThreeValue]:
-        return frozenset(self.values)
-
-
-def profile(support_model: SupportModel, prop: Proposition) -> ContextProfile:
-    """Evaluate the proposition in every cover context."""
-    cover = support_model.scenario.cover
-    return ContextProfile(
-        tuple(cover),
-        tuple(eval_in_context(support_model, ctx, prop) for ctx in cover),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The seven predication modes.
 
@@ -351,22 +328,24 @@ class Classification:
     witnesses: Mapping[ThreeValue, tuple[Context, ...]]
 
 
-def classify(prof: ContextProfile) -> Classification:
-    """Map a total profile to exactly one of the seven modes."""
-    attained = prof.attained()
+def classify(prof: Mapping[Context, ThreeValue]) -> Classification:
+    """Map a total profile, one value per context, to exactly one of the
+    seven modes."""
+    attained = frozenset(prof.values())
     if not attained:
         raise ValueError("cannot classify an empty profile")
     witnesses = {
         value: tuple(ctx for ctx, v in prof.items() if v == value)
         for value in sorted(attained, reverse=True)
     }
-    return Classification(_BY_ATTAINED[frozenset(attained)], witnesses)
+    return Classification(_BY_ATTAINED[attained], witnesses)
 
 
 def seven_value_of(
     support_model: SupportModel,
     prop: Proposition,
-) -> tuple[Classification, ContextProfile]:
-    """Profile a proposition over the cover and classify the pattern."""
-    prof = profile(support_model, prop)
+) -> tuple[Classification, dict[Context, ThreeValue]]:
+    """Evaluate a proposition in every cover context, in cover order, and
+    classify the pattern."""
+    prof = {ctx: eval_in_context(support_model, ctx, prop) for ctx in support_model.scenario.cover}
     return classify(prof), prof

@@ -378,7 +378,10 @@ def evolve(
         raise ValueError(
             f"visibility_rel_floor must be finite and >= 0, got {visibility_rel_floor}"
         )
-    n_steps = int(round(t_final / dt))
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final / dt = {t_final} / {dt} is not a finite step count")
+    n_steps = round(ratio)
     field = _field_params(params)
     psi = polar_decompose(initial.rho, initial.s, field)
     rho = np.abs(psi) ** 2

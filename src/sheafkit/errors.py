@@ -48,13 +48,14 @@ class OutcomeOutOfRange(SheafkitError):
 class IncompatibleModel(SheafkitError):
     """An empirical model's marginals disagree on a context overlap.
 
-    ``report`` is the :class:`~sheafkit.presheaf.CompatibilityReport` that
-    found the disagreement, so callers can list every violation.
+    ``violations`` holds every
+    :class:`~sheafkit.presheaf.CompatibilityViolation` found, so callers can
+    list them all.
     """
 
-    def __init__(self, message: str, report) -> None:
+    def __init__(self, message: str, violations) -> None:
         super().__init__(message)
-        self.report = report
+        self.violations = violations
 
 
 class SolverBudgetExceeded(SheafkitError):

@@ -265,14 +265,14 @@ def classify_contextuality(
     Logical contextuality settles the verdict on supports alone; otherwise
     ``noncontextual`` is a view of the contextual-fraction LP
     (:attr:`FractionReport.noncontextual`), which runs only then.  Raises
-    :class:`IncompatibleModel`, carrying the compatibility report, when the
+    :class:`IncompatibleModel`, carrying the violations, when the
     marginals disagree.
     """
-    report = check_compatibility(model)
-    if not report.ok:
-        worst = max(report.violations, key=lambda v: v.discrepancy)
+    violations = check_compatibility(model)
+    if violations:
+        worst = max(violations, key=lambda v: v.discrepancy)
         raise IncompatibleModel(
-            f"marginals disagree on {worst.overlap.label()} by {worst.discrepancy}", report
+            f"marginals disagree on {worst.overlap.label()} by {worst.discrepancy}", violations
         )
     verdict = sheaf_check(support_of(model), node_budget)
     if verdict.logically_contextual:

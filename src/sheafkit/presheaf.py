@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,11 @@ FLOAT_ATOL = 1e-9
 FLOAT_SUPPORT_THRESHOLD = 1e-12
 
 Number = Union[Fraction, float]
+
+#: Largest decimal exponent read from a probability string: Fraction builds
+#: 10**exp first, and Python caps the digits of a "p/q" string at this bound.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?0*(\d+)\s*$", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,10 @@ class EmpiricalModel:
 def _coerce(value: object, mode: str) -> Number:
     if isinstance(value, bool):
         raise InvalidModel(f"probability {value!r} is not a number")
+    exponent = _EXPONENT.search(value.replace("_", "")) if isinstance(value, str) else None
+    if exponent and (len(exponent[1]) > len(str(_MAX_EXPONENT))
+                     or int(exponent[1]) > _MAX_EXPONENT):
+        raise InvalidModel(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
     if mode == "rational":
         if isinstance(value, float):
             raise InvalidModel(
@@ -242,18 +252,12 @@ class CompatibilityViolation:
     discrepancy: Number
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    ok: bool
-    violations: tuple[CompatibilityViolation, ...]
-
-
-def check_compatibility(model: EmpiricalModel) -> CompatibilityReport:
+def check_compatibility(model: EmpiricalModel) -> tuple[CompatibilityViolation, ...]:
     """Check marginal agreement on every non-empty cover overlap, up to
     ``model.atol``.
 
-    Failure is data, not an exception: violations carry the max-norm
-    discrepancy per offending pair.
+    Failure is data, not an exception: the violations, empty when the model
+    is compatible, carry the max-norm discrepancy per offending pair.
     """
     cover = model.scenario.cover
     violations = []
@@ -266,7 +270,7 @@ def check_compatibility(model: EmpiricalModel) -> CompatibilityReport:
         disc = max(abs(mi[s] - mj[s]) for s in mi)
         if disc > model.atol:
             violations.append(CompatibilityViolation((i, j), overlap, disc))
-    return CompatibilityReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 A scenario is a finite set of observables together with a cover of maximal
 contexts (jointly measurable subsets).  Everything downstream lives over this
-base: the nerve (pairwise and triple overlaps) carries the cochain complex.
+base.  Its nerve, the non-empty pairwise and triple overlaps that carry the
+cochain complex, is enumerated where it is used: by
+:func:`~sheafkit.cohomology.build_coboundary_matrices`.
 """
 
 from __future__ import annotations
@@ -107,38 +109,6 @@ class MeasurementScenario:
         return Context(tuple(sorted(seen, key=self.index)))
 
 
-@dataclass(frozen=True)
-class NerveEdge:
-    """Non-empty pairwise overlap of cover contexts i < j."""
-
-    i: int
-    j: int
-    context: Context
-
-
-@dataclass(frozen=True)
-class NerveTriangle:
-    """Non-empty triple overlap of cover contexts i < j < k."""
-
-    i: int
-    j: int
-    k: int
-    context: Context
-
-
-@dataclass(frozen=True)
-class Nerve:
-    """Cover contexts with their pairwise and triple overlaps.
-
-    Higher intersections are never needed here: the cochain complex stops at
-    degree two.
-    """
-
-    vertices: tuple[Context, ...]
-    edges: tuple[NerveEdge, ...]
-    triangles: tuple[NerveTriangle, ...]
-
-
 def build_scenario(
     observables: Iterable[Observable | tuple[str, int]],
     cover: Iterable[Iterable[str]],
@@ -169,22 +139,6 @@ def build_scenario(
     if missing:
         raise InvalidScenario(f"observables in no cover context: {missing}")
     return MeasurementScenario(tuple(obs_list), tuple(contexts))
-
-
-def build_nerve(scenario: MeasurementScenario) -> Nerve:
-    """Enumerate each non-empty pairwise and triple overlap exactly once."""
-    cover = scenario.cover
-    edges = []
-    for i, j in itertools.combinations(range(len(cover)), 2):
-        inter = cover[i].intersect(cover[j])
-        if inter.members:
-            edges.append(NerveEdge(i, j, inter))
-    triangles = []
-    for i, j, k in itertools.combinations(range(len(cover)), 3):
-        inter = cover[i].intersect(cover[j]).intersect(cover[k])
-        if inter.members:
-            triangles.append(NerveTriangle(i, j, k, inter))
-    return Nerve(tuple(cover), tuple(edges), tuple(triangles))
 
 
 # ---------------------------------------------------------------------------

@@ -360,42 +360,48 @@ def reference_incidence(scenario: sk.MeasurementScenario):
 def reference_coboundary(support_model: sk.SupportModel):
     """(vertex, edge and triangle bases, D0, D1) filled one section at a time.
 
-    A cell's basis is the sorted set of its faces' projected sections; each
+    The cells are the non-empty pairwise and triple overlaps of the cover,
+    found here by set intersection of member ids.  A cell's basis is the sorted set of its faces' projected sections; each
     face section adds its sign at the row of its projection, found by index.
     """
-    nerve = sk.build_nerve(support_model.scenario)
-    supp = [support_model.support(ctx) for ctx in nerve.vertices]
+    cover = support_model.scenario.cover
+    supp = [support_model.support(ctx) for ctx in cover]
     vertex_basis = [(vi, s) for vi in range(len(supp)) for s in supp[vi]]
+
+    def overlap(indices):
+        return set.intersection(*(set(cover[i].members) for i in indices))
+
+    edges = [e for e in itertools.combinations(range(len(cover)), 2) if overlap(e)]
+    triangles = [t for t in itertools.combinations(range(len(cover)), 3) if overlap(t)]
 
     def basis_of(groups, target):
         return sorted({project(s, target) for group in groups for s in group},
                       key=lambda s: s.outcomes)
 
-    edge_sections = [basis_of([supp[e.i], supp[e.j]], e.context) for e in nerve.edges]
+    edge_sections = [basis_of([supp[i], supp[j]], overlap((i, j))) for i, j in edges]
     edge_basis = [(ei, s) for ei, secs in enumerate(edge_sections) for s in secs]
     triangle_basis = [
         (ti, s)
-        for ti, t in enumerate(nerve.triangles)
-        for s in basis_of([supp[t.i], supp[t.j], supp[t.k]], t.context)
+        for ti, t in enumerate(triangles)
+        for s in basis_of([supp[v] for v in t], overlap(t))
     ]
     vcol = {key: idx for idx, key in enumerate(vertex_basis)}
     erow = {key: idx for idx, key in enumerate(edge_basis)}
     trow = {key: idx for idx, key in enumerate(triangle_basis)}
 
     d0 = ZMat.zeros(len(edge_basis), len(vertex_basis))
-    for ei, edge in enumerate(nerve.edges):
-        for vi, sign in ((edge.j, 1), (edge.i, -1)):
+    for ei, (i, j) in enumerate(edges):
+        for vi, sign in ((j, 1), (i, -1)):
             for s in supp[vi]:
-                d0.a[erow[(ei, project(s, edge.context))]][vcol[(vi, s)]] += sign
+                d0.a[erow[(ei, project(s, overlap((i, j))))]][vcol[(vi, s)]] += sign
 
     d1 = ZMat.zeros(len(triangle_basis), len(edge_basis))
-    edge_index = {(e.i, e.j): ei for ei, e in enumerate(nerve.edges)}
-    for ti, tri in enumerate(nerve.triangles):
-        faces = (((tri.j, tri.k), 1), ((tri.i, tri.k), -1), ((tri.i, tri.j), 1))
-        for pair, sign in faces:
+    edge_index = {e: ei for ei, e in enumerate(edges)}
+    for ti, (i, j, k) in enumerate(triangles):
+        for pair, sign in (((j, k), 1), ((i, k), -1), ((i, j), 1)):
             ei = edge_index[pair]
             for s in edge_sections[ei]:
-                d1.a[trow[(ti, project(s, tri.context))]][erow[(ei, s)]] += sign
+                d1.a[trow[(ti, project(s, overlap((i, j, k))))]][erow[(ei, s)]] += sign
     return tuple(vertex_basis), tuple(edge_basis), tuple(triangle_basis), d0, d1
 
 

@@ -147,14 +147,12 @@ def test_criterion_4_cohomological_witness():
 
 def test_criterion_5_seven_valued_logic():
     with criterion(5, "seven-valued classification", 1.0):
-        from sheafkit.ctxlogic import ContextProfile
-
         values = [ThreeValue.F, ThreeValue.U, ThreeValue.T]
         for k in (1, 2, 3, 4):
             ctxs = tuple(sk.Context((f"c{i}",)) for i in range(k))
             counts = {v: 0 for v in SevenValue}
             for combo in itertools.product(values, repeat=k):
-                cls = classify(ContextProfile(ctxs, combo))
+                cls = classify(dict(zip(ctxs, combo)))
                 assert cls.value.attained == frozenset(combo)
                 counts[cls.value] += 1
             assert sum(counts.values()) == 3**k

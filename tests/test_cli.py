@@ -1,7 +1,9 @@
+import hashlib
 import json
 import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -133,6 +135,33 @@ def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
     assert out == ""
 
 
+def _write_model(tmp_path, mode, probs):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"scenario": _SCENARIO, "mode": mode,
+                                "tables": [{"context": ["a1", "b1"], "probs": probs}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_huge_decimal_exponent_exits_invalid_at_once(tmp_path, capsys, mode):
+    # Fraction("1e-10000000") alone would build a ten-million-digit integer
+    path = _write_model(tmp_path, mode, {"00": "1e-10000000", "11": "1"})
+    started = time.perf_counter()
+    code, out, err = run_cli(["check", path, "--no-timings"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and "exponent" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("probs", [{"00": "25e-2", "11": "75e-2"}, {"01": "1E0"}],
+                         ids=["25e-2", "1E0"])
+def test_small_decimal_exponents_still_load(tmp_path, capsys, mode, probs):
+    code, report, _ = run_json(["check", _write_model(tmp_path, mode, probs), "--no-timings"],
+                               capsys)
+    assert code == cli.EXIT_OK and report["results"]["noncontextual"] is True
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -145,9 +174,10 @@ def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
         ["--initial", "gaussian:0,nan"],
         ["--initial", "gaussian:0,0.5,nan"],
         ["--initial", "two-gaussian:nan,0.15"],
+        ["--t-final", "1e308", "--dt", "1e-4"],
     ],
     ids=["harmonic-nan", "mass-nan", "mass-inf", "hbar-nan", "length-nan", "mu-nan",
-         "sigma0-nan", "momentum-nan", "separation-nan"],
+         "sigma0-nan", "momentum-nan", "separation-nan", "step-count-overflow"],
 )
 def test_non_finite_evolve_input_exits_invalid(capsys, argv):
     base = ["evolve", "--lambda", "1", "--t-final", "0.001", "--format", "json"]
@@ -550,6 +580,88 @@ def test_reports_byte_identical_with_seed(capsys):
     c = run_cli(["fraction", "triangle", "--no-timings", "--seed", "7"], capsys)
     d = run_cli(["fraction", "triangle", "--no-timings", "--seed", "7"], capsys)
     assert c == d
+
+
+#: (argv, --format) -> (exit code, sha256 of the --no-timings stdout).  The
+#: digests pin every byte of the reports; the *.expected.json files pin verdicts.
+_README_PROP = ("--prop", "(x=0 & y=0) | (x=1 & y=1)")
+_GOLDEN_REPORTS = {
+    (("check", "prbox"), "json"):
+        (10, "964767c2239b74d3e25d63dc3c92fd87f761a770bbcf9052fa4d58e4c801f9c9"),
+    (("check", "prbox"), "text"):
+        (10, "2cf9e9327cc1284d0e958c8d3ea4884206d7dc37240e05e2691b3703e2ce7fb8"),
+    (("check", "bell_uniform"), "json"):
+        (0, "79bda581cfc4605dff50719885fa6f4cf7bdd7d77b3e869561c28ceb92242be7"),
+    (("check", "bell_uniform"), "text"):
+        (0, "e8c644136acfbd72d43f79d04b840e7dea3f0196cb104f5cd05af3092ec366ca"),
+    (("check", "triangle_anticorrelated"), "json"):
+        (10, "90aeb02f0badebc1171bed97046836705570c493ff774e4e79391e50b11241c1"),
+    (("check", "triangle_anticorrelated"), "text"):
+        (10, "2cf9e9327cc1284d0e958c8d3ea4884206d7dc37240e05e2691b3703e2ce7fb8"),
+    (("check", "deterministic"), "json"):
+        (0, "ec57b98cef4bbdcfaf3b6e2bbec540c4ad32160b0bba8f0787fd2dc2a6934b2a"),
+    (("check", "deterministic"), "text"):
+        (0, "e8c644136acfbd72d43f79d04b840e7dea3f0196cb104f5cd05af3092ec366ca"),
+    (("check", "signalling"), "json"):
+        (2, "c17aed3348a57f15760c627771b1ee605d01950ab89f94f4fe4c754cbfdac308"),
+    (("check", "signalling"), "text"):
+        (2, "ab5682c30af9cdcca4f02df427331f153af8f6984a4b763c8cdb1b4821f69b2f"),
+    (("fraction", "prbox"), "json"):
+        (10, "7e84f917606556d8b2ee4699fc747b9fab1ef7a9c782dc2182489704b0fe5a8d"),
+    (("fraction", "prbox"), "text"):
+        (10, "83717c39218b574513410056a1b6962be334d74859116844c7cf17e795f54123"),
+    (("fraction", "bell_uniform"), "json"):
+        (0, "170706d507310d8d1e6c5980651d1ad67b4833826f600d9781205e99032f7644"),
+    (("fraction", "bell_uniform"), "text"):
+        (0, "dcd16ec44e08cf1d0be021c7ad170dbc8e9ce8d2b5f8095a3295acb8f75f7490"),
+    (("fraction", "triangle_anticorrelated"), "json"):
+        (10, "8c0bfac749383f56e9d2557cbe9acf1f4b95558e6a4d8cbc11bbfa92ad868009"),
+    (("fraction", "triangle_anticorrelated"), "text"):
+        (10, "83717c39218b574513410056a1b6962be334d74859116844c7cf17e795f54123"),
+    (("fraction", "deterministic"), "json"):
+        (0, "1e318a5e8ea777a899bd3d7423b2eeaf087cbe42e6122641d9274ce055e96050"),
+    (("fraction", "deterministic"), "text"):
+        (0, "dcd16ec44e08cf1d0be021c7ad170dbc8e9ce8d2b5f8095a3295acb8f75f7490"),
+    (("fraction", "signalling"), "json"):
+        (2, "2a837b180333f9ef54d3dbe748a8942b7e8e06807a53ee5776e86fc8e927a898"),
+    (("fraction", "signalling"), "text"):
+        (2, "ab5682c30af9cdcca4f02df427331f153af8f6984a4b763c8cdb1b4821f69b2f"),
+    (("cohomology", "prbox"), "json"):
+        (10, "93b2571b9e2141b8e8366794fbba7aba4193e2e8a896ebd51d450e930b951cdf"),
+    (("cohomology", "prbox"), "csv"):
+        (10, "d23b431b315bf8f423e9ff35f4cb21a6a9a6e601abfebe9694cc3d7c895abbb7"),
+    (("cohomology", "bell_uniform"), "json"):
+        (0, "146420d23d81bd28fdd27042f9bfe301832e1ebd35307a79ad030d3b3fa4c91e"),
+    (("cohomology", "bell_uniform"), "csv"):
+        (0, "97f698181fb3a57fc36e62d4a8b3ce7cdebd81dd5be55c95d1611bd2db2ab733"),
+    (("cohomology", "triangle_anticorrelated"), "json"):
+        (10, "a5df9755520077f4faa407287465e4190e63e2fb781a62efda543a78fa258d97"),
+    (("cohomology", "triangle_anticorrelated"), "csv"):
+        (10, "e05b68b573222692c3be2ea4d1b4ed2aeac5270cb5c3ad389e08c950935cbedd"),
+    (("cohomology", "deterministic"), "json"):
+        (0, "036d2d9c552d2c7398f206154b342bfbbb8af84c6644ce0f149f963147ccd8a5"),
+    (("cohomology", "deterministic"), "csv"):
+        (0, "e74f58fede3fbe9b243fbe969aaae3eae2147a02d8d5bb1f8f022d99d3587d4b"),
+    (("cohomology", "signalling"), "json"):
+        (10, "948bfebcff6ca047c7407c7047711794dcae3051947ccb60c971d6d0c7c9674c"),
+    (("cohomology", "signalling"), "csv"):
+        (10, "543d886ff025f0e60adbe40b398d31f59c0928301e88837270192d38a269e8e8"),
+    (("logic", "triangle", *_README_PROP), "json"):
+        (0, "489f12c6c929a2eb46b42864a06dc6f632c61d59333b692dd0bc8715b94a9660"),
+    (("logic", "triangle", *_README_PROP), "text"):
+        (0, "dcb7504aac2e90132b033f733d9c7c2ce36375c05a7b3261987eb29e5d68f6d3"),
+    (("logic", "prbox", "--prop", "a1=0 -> b1=0"), "json"):
+        (0, "4b56122efd424dcb0267888be3740e54304a51e3f3b921190abba23155c34ca8"),
+    (("logic", "prbox", "--prop", "a1=0 -> b1=0"), "text"):
+        (0, "030479c5e2d7d383d8afc3d0f12a6be05449597af2fe657e02c6e348f6f4a5fa"),
+}
+
+
+@pytest.mark.parametrize("argv, fmt", list(_GOLDEN_REPORTS),
+                         ids=[f"{a[0]}-{a[1]}-{f}" for a, f in _GOLDEN_REPORTS])
+def test_report_bytes_match_the_pinned_digests(capsys, argv, fmt):
+    code, out, _ = run_cli([*argv, "--format", fmt, "--no-timings"], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _GOLDEN_REPORTS[argv, fmt]
 
 
 def test_output_file(tmp_path, capsys):

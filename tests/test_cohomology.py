@@ -57,17 +57,17 @@ def _full_support_matrices(sc):
 
 def _image_of_picks(mats, picks):
     """D0 times the family with one 1 per context, at the picked outcomes."""
-    family = [int(s.outcomes == picks[mats.nerve.vertices[vi].members])
-              for vi, s in mats.vertex_basis]
-    assert sum(family) == len(mats.nerve.vertices)
+    family = [int(s.outcomes == picks[s.members]) for _, s in mats.vertex_basis]
+    assert sum(family) == len({vi for vi, _ in mats.vertex_basis})
     return [sum(a * w for a, w in zip(row, family)) for row in mats.d0.a]
 
 
 def test_coboundary_of_compatible_family_is_zero():
     # the restrictions of one global assignment agree on every overlap
-    mats = _full_support_matrices(triangle_scenario())
+    sc = triangle_scenario()
+    mats = _full_support_matrices(sc)
     g = {"x": 0, "y": 1, "z": 0}
-    picks = {c.members: tuple(g[m] for m in c.members) for c in mats.nerve.vertices}
+    picks = {c.members: tuple(g[m] for m in c.members) for c in sc.cover}
     assert mats.d0.m and not any(_image_of_picks(mats, picks))
 
 
@@ -82,8 +82,8 @@ def test_coboundary_pr_box_family():
     }
     image = _image_of_picks(mats, picks)
     by_edge = {}
-    for value, (ei, _) in zip(image, mats.edge_basis):
-        by_edge.setdefault(mats.nerve.edges[ei].context.members, []).append(value)
+    for value, (_, s) in zip(image, mats.edge_basis):
+        by_edge.setdefault(s.members, []).append(value)
     # both (a1,*) picks restrict to a1=0: zero difference on edge {a1}
     assert by_edge[("a1",)] == [0, 0]
     # edge {b2}: (a2,b2) gives b2=0 but (a1,b2) gives b2=1: +-1 on its two rows
@@ -191,7 +191,7 @@ def test_d1_after_d0_is_zero_with_triangles():
     for _ in range(10):
         model = random_global_model(rng, sc)
         mats = build_coboundary_matrices(sk.support_of(model))
-        assert len(mats.nerve.triangles) == 1
+        assert {ti for ti, _ in mats.triangle_basis} == {0}
         assert mats.d1.matmul(mats.d0).is_zero()
 
 
@@ -323,7 +323,7 @@ def test_report_takes_one_smith_form_per_context_plus_two(monkeypatch):
     monkeypatch.setattr(cohomology, "smith_normal_form", counted)
     monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
     avn = sk.support_of(_avn_model())
-    assert build_coboundary_matrices(avn).nerve.triangles  # so D1 is not empty
+    assert build_coboundary_matrices(avn).triangle_basis  # so D1 is not empty
     for supp in (sk.support_of(pr_box_model()), avn):
         calls.clear()
         report = obstruction_report(supp)
@@ -353,7 +353,7 @@ def test_report_agrees_with_free_column_oracle():
     for supp in models:
         mats = build_coboundary_matrices(supp)
         reference = reference_coboundary(supp)
-        seen["triangles"] += bool(mats.nerve.triangles)
+        seen["triangles"] += bool(mats.triangle_basis)
         for e in obstruction_report(supp).entries:
             assert e.vanishes == free_column_vanishes(mats, e.context_index, e.section)
             seen[e.vanishes] += 1
@@ -448,7 +448,7 @@ def test_invariants_match_kernel_coordinates_on_random_supports():
         inv = cech_invariants(mats)
         h1_rank, torsion = kernel_coordinate_invariants(mats.d1, mats.d0)
         assert (inv.h1_rank, inv.h1_torsion) == (h1_rank, tuple(torsion))
-        with_triangles += bool(mats.nerve.triangles)
+        with_triangles += bool(mats.triangle_basis)
     assert with_triangles >= 10, with_triangles
 
 

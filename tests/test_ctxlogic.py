@@ -23,7 +23,6 @@ from sheafkit.ctxlogic import (
     not_,
     or_,
     parse_proposition,
-    profile,
     proposition_to_str,
     seven_value_of,
 )
@@ -211,12 +210,12 @@ def test_eval_validates_atoms():
 def test_triangle_equality_profile_and_mode():
     supp = anticorrelated_support()
     prop = parse_proposition("(x=0 & y=0) | (x=1 & y=1)")
-    prof = profile(supp, prop)
+    classification, prof = seven_value_of(supp, prop)
+    assert list(prof) == list(supp.scenario.cover)
     by_ctx = {c.members: v for c, v in prof.items()}
     assert by_ctx[("x", "y")] == F
     assert by_ctx[("y", "z")] == U
     assert by_ctx[("x", "z")] == U
-    classification, _ = seven_value_of(supp, prop)
     assert classification.value == SevenValue.FALSE_AND_INDETERMINATE
     assert classification.value.mode == "vi"
     # witnessing context families are disjoint and cover the cover
@@ -228,9 +227,10 @@ def test_triangle_equality_profile_and_mode():
 def test_profile_single_context():
     sc = sk.build_scenario([("a", 2)], [["a"]])
     model = sk.build_model(sc, {("a",): {(0,): Fraction(1)}})
-    prof = profile(sk.support_of(model), Atom("a", 0))
-    assert prof.values == (T,)
-    assert classify(prof).value == SevenValue.TRUE
+    classification, prof = seven_value_of(sk.support_of(model), Atom("a", 0))
+    assert list(prof.values()) == [T]
+    assert classify(prof) == classification
+    assert classification.value == SevenValue.TRUE
 
 
 def test_classify_modes():
@@ -244,21 +244,17 @@ def test_classify_modes():
         (F, U, F): "vi",
         (T, F, U): "vii",
     }
-    from sheafkit.ctxlogic import ContextProfile
-
     for values, mode in cases.items():
-        got = classify(ContextProfile(ctxs, values))
+        got = classify(dict(zip(ctxs, values)))
         assert got.value.mode == mode
 
 
 def test_classification_partitions_all_profiles():
-    from sheafkit.ctxlogic import ContextProfile
-
     for k in (1, 2, 3, 4):
         ctxs = tuple(sk.Context((f"c{i}",)) for i in range(k))
         seen = {v: 0 for v in SevenValue}
         for values in itertools.product(VALUES, repeat=k):
-            cls = classify(ContextProfile(ctxs, values))
+            cls = classify(dict(zip(ctxs, values)))
             assert cls.value.attained == frozenset(values)
             seen[cls.value] += 1
             # witnesses partition the contexts

@@ -167,6 +167,14 @@ def test_stability_bound_enforced():
         sk.step(st, 0.0, p, g)
 
 
+def test_evolve_rejects_a_step_count_that_overflows():
+    g = make_grid()
+    p = sk.physical_params(g, lam=1.0)
+    st = dynamics.gaussian_state(g, p, 0.0, 0.5)
+    with pytest.raises(ValueError, match="not a finite step count"):
+        sk.evolve(st, p, g, t_final=1e308, dt=1e-4)
+
+
 def test_step_advances_and_conserves_norm():
     g = make_grid()
     p = sk.physical_params(g, lam=1.0)

@@ -63,25 +63,38 @@ def test_context_canonical_order():
     assert sc.context(["b1", "a1"]).members == ("a1", "b1")
 
 
+def nerve_cells(sc):
+    """(number of vertices, edge contexts, triangle contexts, D1) of the
+    nerve, each cell's context read off its sections' members in the
+    coboundary bases of the full support model."""
+    supports = {ctx: sk.enumerate_sections(ctx, sc) for ctx in sc.cover}
+    mats = sk.build_coboundary_matrices(sk.SupportModel(sc, supports))
+
+    def contexts(basis):
+        members = {cell: s.members for cell, s in basis}
+        return [members[cell] for cell in sorted(members)]
+
+    vertices = len({vi for vi, _ in mats.vertex_basis})
+    return vertices, contexts(mats.edge_basis), contexts(mats.triangle_basis), mats
+
+
 def test_nerve_triangle():
-    nerve = sk.build_nerve(triangle_scenario())
-    assert len(nerve.vertices) == 3
-    assert sorted(e.context.members for e in nerve.edges) == [("x",), ("y",), ("z",)]
-    assert nerve.triangles == ()
+    vertices, edges, triangles, _ = nerve_cells(triangle_scenario())
+    assert vertices == 3
+    assert sorted(edges) == [("x",), ("y",), ("z",)]
+    assert triangles == []
 
 
 def test_nerve_single_context():
-    nerve = sk.build_nerve(sk.build_scenario([("a", 2)], [["a"]]))
-    assert (len(nerve.vertices), len(nerve.edges), len(nerve.triangles)) == (1, 0, 0)
+    vertices, edges, triangles, _ = nerve_cells(sk.build_scenario([("a", 2)], [["a"]]))
+    assert (vertices, len(edges), len(triangles)) == (1, 0, 0)
 
 
 def test_nerve_bell():
-    nerve = sk.build_nerve(bell_scenario())
-    assert len(nerve.vertices) == 4
-    assert sorted(e.context.members for e in nerve.edges) == [
-        ("a1",), ("a2",), ("b1",), ("b2",)
-    ]
-    assert nerve.triangles == ()
+    vertices, edges, triangles, _ = nerve_cells(bell_scenario())
+    assert vertices == 4
+    assert sorted(edges) == [("a1",), ("a2",), ("b1",), ("b2",)]
+    assert triangles == []
 
 
 def test_nerve_has_nonempty_triple_overlap():
@@ -89,26 +102,20 @@ def test_nerve_has_nonempty_triple_overlap():
         [("a", 2), ("b", 2), ("c", 2), ("d", 2)],
         [["a", "b"], ["a", "c"], ["a", "d"]],
     )
-    nerve = sk.build_nerve(sc)
-    assert len(nerve.edges) == 3
-    assert len(nerve.triangles) == 1
-    tri = nerve.triangles[0]
-    assert tri.context.members == ("a",)
-    # every triangle face is present among the edges
-    faces = {(tri.i, tri.j), (tri.i, tri.k), (tri.j, tri.k)}
-    assert faces <= {(e.i, e.j) for e in nerve.edges}
+    _, edges, triangles, mats = nerve_cells(sc)
+    assert len(edges) == 3
+    assert triangles == [("a",)]
+    # every triangle face is present among the edges: D1 reaches all three
+    faces = {mats.edge_basis[c][0] for row in mats.d1.a for c, v in enumerate(row) if v}
+    assert faces == {0, 1, 2}
 
 
 def test_nerve_edges_equal_pairwise_intersections():
     sc = bell_scenario()
-    nerve = sk.build_nerve(sc)
-    by_pair = {(e.i, e.j): e.context for e in nerve.edges}
-    for i, j in itertools.combinations(range(len(sc.cover)), 2):
-        inter = sc.cover[i].intersect(sc.cover[j])
-        if inter.members:
-            assert by_pair[(i, j)].members == inter.members
-        else:
-            assert (i, j) not in by_pair
+    _, edges, _, _ = nerve_cells(sc)
+    overlaps = (sc.cover[i].intersect(sc.cover[j])
+                for i, j in itertools.combinations(range(len(sc.cover)), 2))
+    assert edges == [inter.members for inter in overlaps if inter.members]
 
 
 def test_scenario_json_roundtrip(tmp_path):
