@@ -26,25 +26,51 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .cohomology import MATRIX_LIMIT, obstruction_report
-from .ctxlogic import parse_proposition, proposition_to_str, seven_value_of
-from .errors import IncompatibleModel, SheafkitError
-from .gluing import GLOBAL_LIMIT, NODE_BUDGET, classify_contextuality, contextual_fraction
-from .presheaf import (
-    CompatibilityViolation,
-    EmpiricalModel,
-    check_compatibility,
-    model_from_dict,
-    support_of,
+from .errors import (
+    GLOBAL_LIMIT,
+    MATRIX_LIMIT,
+    NODE_BUDGET,
+    PIVOT_BUDGET,
+    STEP_BUDGET,
+    IncompatibleModel,
+    SheafkitError,
 )
-from .simplex import PIVOT_BUDGET
 
-# numpy and the dynamics load only when `evolve` or a frame dump needs them,
-# so the combinatorial subcommands start without them.
+# For annotations only: the layers load on first use (see _ENTRY_POINTS), and
+# numpy with the dynamics only when `evolve` or a frame dump needs them.
 if TYPE_CHECKING:
     import numpy as np
 
     from .dynamics import Grid, LambdaState
+    from .presheaf import CompatibilityViolation, EmpiricalModel
+
+#: layer entry point -> its module.  So that each subcommand imports only the
+#: layers it runs, ``__getattr__`` loads the module through the package on
+#: first access and binds the name here.  The subcommands call each name as
+#: ``_cli.name``, so a wrapper set on this module's attribute applies.
+_ENTRY_POINTS = {
+    "model_from_dict": "presheaf",
+    "check_compatibility": "presheaf",
+    "support_of": "presheaf",
+    "classify_contextuality": "gluing",
+    "contextual_fraction": "gluing",
+    "obstruction_report": "cohomology",
+    "parse_proposition": "ctxlogic",
+    "proposition_to_str": "ctxlogic",
+    "seven_value_of": "ctxlogic",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ENTRY_POINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = getattr(sys.modules[__package__], _ENTRY_POINTS[name])
+    value = globals()[name] = getattr(layer, name)
+    return value
+
+
+# This module, also when it runs as ``__main__``.
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -92,7 +118,7 @@ def load_model_arg(arg: str, mode: str | None) -> tuple[EmpiricalModel, dict]:
     if mode is not None and isinstance(data, dict):
         data["mode"] = mode
     base = Path(display).parent if Path(display).exists() else None
-    model = model_from_dict(data, base_dir=base)
+    model = _cli.model_from_dict(data, base_dir=base)
     meta = {
         "path": display,
         "sha256": hashlib.sha256(raw).hexdigest(),
@@ -159,8 +185,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
     try:
-        verdict = classify_contextuality(model, node_budget=args.budget_nodes,
-                                         limit=args.budget_globals, budget=args.budget_pivots)
+        verdict = _cli.classify_contextuality(model, node_budget=args.budget_nodes,
+                                              limit=args.budget_globals,
+                                              budget=args.budget_pivots)
     except IncompatibleModel as exc:
         return emit_incompatible(args, "check", meta, exc.violations, started)
     results = {
@@ -199,10 +226,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_fraction(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
-    violations = check_compatibility(model)
+    violations = _cli.check_compatibility(model)
     if violations:
         return emit_incompatible(args, "fraction", meta, violations, started)
-    fr = contextual_fraction(model, limit=args.budget_globals, budget=args.budget_pivots)
+    fr = _cli.contextual_fraction(model, limit=args.budget_globals, budget=args.budget_pivots)
     weights = {
         g.label(): w
         for g, w in zip(fr.incidence.columns, fr.weights)
@@ -221,8 +248,8 @@ def cmd_fraction(args: argparse.Namespace) -> int:
 def cmd_cohomology(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
-    support = support_of(model)
-    rep = obstruction_report(support, matrix_limit=args.budget_matrix)
+    support = _cli.support_of(model)
+    rep = _cli.obstruction_report(support, matrix_limit=args.budget_matrix)
     cover = model.scenario.cover
     rows = [
         {
@@ -255,11 +282,11 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 def cmd_logic(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
-    prop = parse_proposition(args.prop)
-    support = support_of(model)
-    classification, prof = seven_value_of(support, prop)
+    prop = _cli.parse_proposition(args.prop)
+    support = _cli.support_of(model)
+    classification, prof = _cli.seven_value_of(support, prop)
     results = {
-        "proposition": proposition_to_str(prop),
+        "proposition": _cli.proposition_to_str(prop),
         "profile": {ctx.label(): value.name for ctx, value in prof.items()},
         "mode": classification.value.mode,
         "value": classification.value.name,
@@ -290,6 +317,16 @@ def _parse_initial(spec: str, grid: Grid, params) -> LambdaState:
     raise SheafkitError(
         f"bad --initial {spec!r}; expected gaussian:mu,sigma0[,p] or two-gaussian:sep,sigma0[,p]"
     )
+
+
+def _parse_window(spec: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in spec.split(","))
+    except ValueError:  # not two fields, or a field that is not a number
+        lo = hi = math.nan
+    if not -math.inf < lo < hi < math.inf:
+        raise SheafkitError(f"bad --window {spec!r}; expected --window 'lo,hi' with finite lo < hi")
+    return lo, hi
 
 
 def _is_number(value: object) -> bool:
@@ -355,10 +392,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         grid, mass=args.mass, hbar=args.hbar, lam=lam, potential=potential
     )
     initial = _parse_initial(args.initial, grid, params)
-    window = None
-    if args.window:
-        lo, hi = (float(v) for v in args.window.split(","))
-        window = (lo, hi)
+    window = _parse_window(args.window) if args.window is not None else None
+    if args.dump and not Path(args.dump).parent.is_dir():
+        raise SheafkitError(f"bad --dump {args.dump!r}; its directory does not exist")
     records, frames = dynamics.evolve(
         initial,
         params,
@@ -369,6 +405,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         window=window,
         visibility_rel_floor=args.vis_rel_floor,
         collect_frames=args.dump is not None,
+        step_budget=args.budget_steps,
     )
     if args.dump:
         write_frame_dump(args.dump, frames)
@@ -481,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--window", default=None, help="visibility window 'lo,hi'")
     p_evolve.add_argument("--vis-rel-floor", type=float, default=0.0)
     p_evolve.add_argument("--dump", default=None, help="binary density-frame dump path")
+    p_evolve.add_argument("--budget-steps", type=int, default=STEP_BUDGET)
     p_evolve.set_defaults(func=cmd_evolve)
 
     p_fix = sub.add_parser("fixtures", help="bundled fixture library")

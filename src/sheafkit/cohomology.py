@@ -29,13 +29,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SizeLimitExceeded
+from .errors import MATRIX_LIMIT, SizeLimitExceeded
 from .intlinalg import SmithForm, ZMat, kernel_basis, quotient_invariants, smith_normal_form
 from .presheaf import LocalSection, SupportModel, restriction_map
 from .scenario import Context
-
-#: Default ceiling on coboundary matrix entries (rows x cols).
-MATRIX_LIMIT = 10**8
 
 
 # ---------------------------------------------------------------------------

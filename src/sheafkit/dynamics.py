@@ -40,7 +40,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DensityCollapse, NonMonotoneMap, StabilityViolation
+from .errors import (
+    STEP_BUDGET,
+    DensityCollapse,
+    NonMonotoneMap,
+    SizeLimitExceeded,
+    StabilityViolation,
+)
 
 #: Density floor: regularizes Q, and below it the phase is undefined
 #: (``polar_compose``) and the collapse guard counts a cell as void.
@@ -356,6 +362,7 @@ def evolve(
     window: tuple[float, float] | None = None,
     visibility_rel_floor: float = 0.0,
     collect_frames: bool = False,
+    step_budget: int = STEP_BUDGET,
 ) -> tuple[list[Observables], list[np.ndarray]]:
     """Run round(t_final / dt) steps, recording observables periodically.
 
@@ -366,7 +373,8 @@ def evolve(
     carried as its spectrum, so a step costs one FFT free and three with a
     potential.  The collapse guard checks the density after every step.
     Returns the records and, when ``collect_frames``, the density frames
-    alongside.
+    alongside.  A run of more than ``step_budget`` steps raises
+    SizeLimitExceeded before the first step.
     """
     check_timestep(dt, grid, params)
     _check_state(initial, grid)
@@ -382,6 +390,11 @@ def evolve(
     if not math.isfinite(ratio):
         raise ValueError(f"t_final / dt = {t_final} / {dt} is not a finite step count")
     n_steps = round(ratio)
+    if n_steps > step_budget:
+        raise SizeLimitExceeded(
+            f"t_final / dt = {t_final} / {dt} is {ratio:.3g} steps, "
+            f"more than the step budget of {step_budget}"
+        )
     field = _field_params(params)
     psi = polar_decompose(initial.rho, initial.s, field)
     rho = np.abs(psi) ** 2

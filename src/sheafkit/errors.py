@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default budgets.
+
+The budgets live here, beside the errors their overrun raises, so that the
+CLI can build its parser without importing the layers that enforce them.
+"""
+
+#: Default ceiling on the number of global assignments enumerated.
+GLOBAL_LIMIT = 2**24
+#: Default ceiling on backtracking nodes in sheaf_check.
+NODE_BUDGET = 10**8
+#: Default ceiling on simplex pivots before giving up.
+PIVOT_BUDGET = 10**6
+#: Default ceiling on coboundary matrix entries (rows x cols).
+MATRIX_LIMIT = 10**8
+#: Default ceiling on the time steps of one dynamics run.
+STEP_BUDGET = 10**7
 
 
 class SheafkitError(Exception):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from . import simplex
-from .errors import IncompatibleModel, InvalidModel, SizeLimitExceeded
+from .errors import GLOBAL_LIMIT, NODE_BUDGET, IncompatibleModel, InvalidModel, SizeLimitExceeded
 from .presheaf import (
     EmpiricalModel,
     LocalSection,
@@ -38,11 +38,6 @@ from .presheaf import (
 from .scenario import Context, MeasurementScenario
 
 Number = Union[Fraction, float]
-
-#: Default ceiling on the number of global assignments enumerated.
-GLOBAL_LIMIT = 2**24
-#: Default ceiling on backtracking nodes in sheaf_check.
-NODE_BUDGET = 10**8
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
-from .errors import SolverBudgetExceeded
+from .errors import PIVOT_BUDGET, SolverBudgetExceeded
 
 Number = Union[Fraction, float]
-
-#: Default ceiling on simplex pivots before giving up.
-PIVOT_BUDGET = 10**6
 
 FLOAT_TOL = 1e-9
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -65,6 +66,24 @@ def test_check_tests_compatibility_once(monkeypatch, capsys):
         calls.clear()
         code, _, _ = run_json(["check", name, "--no-timings"], capsys)
         assert code == want and len(calls) == 1
+
+
+def test_subcommands_call_every_layer_entry_point_through_the_module(monkeypatch, capsys):
+    # the bench's trace wraps these attributes of sheafkit.cli; a subcommand
+    # holding its own reference to a layer function would bypass the wrapper
+    called = set()
+    for name in cli._ENTRY_POINTS:
+        real = getattr(cli, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            called.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    for argv in (["check", "prbox"], ["fraction", "prbox"], ["cohomology", "prbox"],
+                 ["logic", "prbox", "--prop", "a1=0"]):
+        run_cli(argv + ["--no-timings"], capsys)
+    assert called == cli._ENTRY_POINTS.keys()
 
 
 def test_check_missing_file(capsys):
@@ -212,11 +231,11 @@ SUBCOMMAND_OPTIONS = {
         ["logic", "prbox", "--prop", "a1=0"],
         [["--format", "json"], ["--format", "text"], ["--mode", "float"]],
         [["--format", "csv"], ["--budget-globals", "1"], ["--budget-nodes", "1"],
-         ["--budget-pivots", "1"], ["--budget-matrix", "1"]],
+         ["--budget-pivots", "1"], ["--budget-matrix", "1"], ["--budget-steps", "1"]],
     ),
     "evolve": (
         ["evolve"],
-        [["--format", "csv"], ["--format", "json"]],
+        [["--format", "csv"], ["--format", "json"], ["--budget-steps", "1"]],
         [["--format", "text"], ["--mode", "float"], ["--budget-globals", "1"],
          ["--budget-nodes", "1"], ["--budget-pivots", "1"], ["--budget-matrix", "1"]],
     ),
@@ -509,6 +528,36 @@ def test_evolve_csv_width_matches_free_packet_law(capsys):
         assert abs(width - expected) / expected < 0.01
 
 
+def test_evolve_step_budget_fails_before_the_first_step(capsys):
+    # 1e304 steps: without a budget this ran, printing nothing, until killed
+    code, out, err = run_cli(["evolve", "--lambda", "1", "--t-final", "1e300", "--dt", "1e-4"],
+                             capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and "step budget" in err
+    small = ["evolve", "--lambda", "1", "--t-final", "0.01", "--dt", "1e-4", "--no-timings"]
+    code, _, err = run_cli(small + ["--budget-steps", "99"], capsys)
+    assert code == cli.EXIT_INVALID
+    assert "100 steps, more than the step budget of 99" in err
+    assert run_cli(small + ["--budget-steps", "100"], capsys)[0] == cli.EXIT_OK
+
+
+def test_evolve_dump_to_a_missing_directory_fails_before_the_run(tmp_path, capsys):
+    # the run itself would exceed the step budget, so the dump path is checked first
+    dump = tmp_path / "missing" / "frames.bin"
+    code, out, err = run_cli(["evolve", "--lambda", "1", "--t-final", "1e300", "--dt", "1e-4",
+                              "--dump", str(dump)], capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err.startswith("error: bad --dump")
+
+
+@pytest.mark.parametrize("window", ["1", "1,1", "a,b", "nan,1"])
+def test_evolve_window_needs_two_finite_increasing_bounds(capsys, window):
+    code, out, err = run_cli(["evolve", "--lambda", "1", "--t-final", "0.001",
+                              f"--window={window}"], capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and "--window 'lo,hi'" in err
+
+
 def test_evolve_unstable_dt_exits_invalid(capsys):
     code, _, err = run_cli(
         ["evolve", "--lambda", "1", "--initial", "gaussian:0,0.5",
@@ -705,40 +754,71 @@ def _run_python(code):
     return proc.stdout
 
 
-def test_combinatorial_subcommands_never_import_numpy():
+#: case -> (argv, the layers it loads besides the package and sheafkit.cli)
+SUBCOMMAND_LAYERS = {
+    "check": (["check", "prbox"], {"errors", "scenario", "presheaf", "gluing", "simplex"}),
+    "fraction": (["fraction", "prbox"], {"errors", "scenario", "presheaf", "gluing", "simplex"}),
+    "cohomology": (["cohomology", "prbox"],
+                   {"errors", "scenario", "presheaf", "cohomology", "intlinalg"}),
+    "logic": (["logic", "prbox", "--prop", "a1=0"], {"errors", "scenario", "presheaf", "ctxlogic"}),
+    "evolve": (["evolve", "--lambda", "1", "--t-final", "0.001"], {"errors", "dynamics"}),
+    "version": (["--version"], {"errors"}),
+    "fixtures": (["fixtures", "list"], {"errors"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBCOMMAND_LAYERS))
+def test_each_subcommand_loads_only_its_layers(case):
+    argv, layers = SUBCOMMAND_LAYERS[case]
     out = _run_python(
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "import sheafkit.cli as cli\n"
-        "for argv in (['check', 'prbox'], ['fraction', 'prbox'], ['cohomology', 'prbox'],\n"
-        "             ['logic', 'prbox', '--prop', 'a1=0']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv + ['--no-timings']) in (cli.EXIT_OK, cli.EXIT_CONTEXTUAL)\n"
-        "print(sorted(m for m in ('numpy', 'sheafkit.dynamics') if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = cli.main({argv!r})\n"
+        "    except SystemExit as exc:  # --version exits from the parser\n"
+        "        code = exc.code\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'sheafkit')\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
     )
-    assert out.strip() == "[]"
+    code, loaded, numpy = json.loads(out)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONTEXTUAL)
+    assert loaded == sorted({"sheafkit", "sheafkit.cli"} | {f"sheafkit.{m}" for m in layers})
+    assert numpy == (case == "evolve")
 
 
-DYNAMICS_EXPORTS = (
-    "Grid", "LambdaState", "Observables", "PhysicalParams", "compute_observables", "evolve",
-    "gaussian_state", "harmonic_potential", "lambda_from_sigma", "physical_params",
-    "polar_compose", "polar_decompose", "quantum_potential", "step", "two_gaussian_state",
-)
+def test_python_m_check_loads_only_its_layers():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sheafkit.cli", "check", "prbox"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_CONTEXTUAL, proc.stderr
+    assert json.loads(proc.stdout)["results"]["strongly_contextual"] is True
+    # sheafkit.cli runs as __main__ here, so it is never imported under its name
+    imported = set(re.findall(r"\|\s*(sheafkit\S*)$", proc.stderr, re.M))
+    assert imported == {"sheafkit"} | {f"sheafkit.{m}" for m in SUBCOMMAND_LAYERS["check"][1]}
 
 
-def test_dynamics_exports_load_on_first_access():
+def test_every_export_loads_on_first_access():
     out = _run_python(
+        "import importlib, sys\n"
         "import sheafkit\n"
-        "assert sheafkit.evolve is sheafkit.dynamics.evolve\n"
-        f"names = {DYNAMICS_EXPORTS!r}\n"
-        "for name in names:\n"
-        "    assert getattr(sheafkit, name) is getattr(sheafkit.dynamics, name), name\n"
+        "assert [m for m in sys.modules if m.startswith('sheafkit')] == ['sheafkit']\n"
+        "for layer in sorted(sheafkit._LAYERS):\n"
+        "    assert getattr(sheafkit, layer) is importlib.import_module(f'sheafkit.{layer}')\n"
+        "for name, layer in sheafkit._EXPORTS.items():\n"
+        "    scope = {}\n"
+        "    exec(f'from sheafkit import {name}', scope)\n"
+        "    value = getattr(importlib.import_module(f'sheafkit.{layer}'), name)\n"
+        "    assert scope[name] is value and getattr(sheafkit, name) is value, name\n"
         "    assert name in dir(sheafkit), name\n"
         "try:\n"
         "    sheafkit.no_such_name\n"
         "except AttributeError:\n"
-        "    print(len(names))\n"
+        "    print(len(sheafkit._EXPORTS))\n"
     )
-    assert out.strip() == "15"
+    assert out.strip() == "76"
 
 
 def test_timings_present_by_default(capsys):
