@@ -44,8 +44,8 @@ _EXPORTS = {
             sheaf_check
         """),
         ("presheaf", """
-            CompatibilityViolation EmpiricalModel LocalSection SupportModel build_model
-            check_compatibility enumerate_sections marginalize restriction_map support_of
+            CompatibilityViolation EmpiricalModel SupportModel build_model check_compatibility
+            enumerate_sections marginalize restriction_map section_label support_of
         """),
         ("scenario", "Context MeasurementScenario Observable build_scenario load_scenario"),
     )

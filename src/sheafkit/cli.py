@@ -52,6 +52,7 @@ _ENTRY_POINTS = {
     "model_from_dict": "presheaf",
     "check_compatibility": "presheaf",
     "support_of": "presheaf",
+    "section_label": "presheaf",
     "classify_contextuality": "gluing",
     "contextual_fraction": "gluing",
     "obstruction_report": "cohomology",
@@ -202,13 +203,13 @@ def cmd_check(args: argparse.Namespace) -> int:
                 if verdict.nonextendable_section is None
                 else {
                     "context": model.scenario.cover[verdict.nonextendable_section[0]].label(),
-                    "section": verdict.nonextendable_section[1].label(),
+                    "section": _cli.section_label(verdict.nonextendable_section[1]),
                 }
             ),
             "global_support_section": (
                 None
                 if verdict.global_support_section is None
-                else verdict.global_support_section.as_dict()
+                else dict(zip(model.scenario.observable_ids, verdict.global_support_section))
             ),
         },
     }
@@ -231,7 +232,7 @@ def cmd_fraction(args: argparse.Namespace) -> int:
         return emit_incompatible(args, "fraction", meta, violations, started)
     fr = _cli.contextual_fraction(model, limit=args.budget_globals, budget=args.budget_pivots)
     weights = {
-        g.label(): w
+        _cli.section_label(g): w
         for g, w in zip(fr.incidence.columns, fr.weights)
         if w != 0
     }
@@ -254,7 +255,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     rows = [
         {
             "context": cover[e.context_index].label(),
-            "section": e.section.label(),
+            "section": _cli.section_label(e.section),
             "vanishes": e.vanishes,
         }
         for e in rep.entries

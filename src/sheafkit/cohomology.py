@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .errors import MATRIX_LIMIT, SizeLimitExceeded
 from .intlinalg import SmithForm, ZMat, kernel_basis, quotient_invariants, smith_normal_form
-from .presheaf import LocalSection, SupportModel, restriction_map
+from .presheaf import Section, SupportModel, restriction_map, section_label
 from .scenario import Context
 
 
@@ -48,9 +48,9 @@ class CoboundaryMatrices:
     per-context projections of the kernel are computed on first use and kept.
     """
 
-    vertex_basis: tuple[tuple[int, LocalSection], ...]
-    edge_basis: tuple[tuple[int, LocalSection], ...]
-    triangle_basis: tuple[tuple[int, LocalSection], ...]
+    vertex_basis: tuple[tuple[int, Section], ...]
+    edge_basis: tuple[tuple[int, Section], ...]
+    triangle_basis: tuple[tuple[int, Section], ...]
     d0: ZMat
     d1: ZMat
 
@@ -79,23 +79,32 @@ class CoboundaryMatrices:
 
 def _coboundary(
     cells: list[tuple[Context, tuple[tuple[int, int], ...]]],
-    face_basis: tuple[tuple[int, LocalSection], ...],
+    face_contexts: tuple[Context, ...],
+    face_basis: tuple[tuple[int, Section], ...],
     limit: int,
-) -> tuple[tuple[tuple[int, LocalSection], ...], ZMat]:
+) -> tuple[tuple[tuple[int, Section], ...], ZMat]:
     """The basis (cell, section) of the cells and the coboundary into it.
 
     ``cells`` lists each cell's context and its (face, sign) pairs.  A cell's
-    basis is its faces' sections restricted to it; each face section's column
-    holds the face's sign in the row of its restriction to the cell.
+    basis is its faces' sections restricted to it from ``face_contexts[face]``;
+    each face section's column holds the face's sign in the row of its
+    restriction to the cell.
     """
     columns: dict[int, list[int]] = {}
     for c, (face, _) in enumerate(face_basis):
         columns.setdefault(face, []).append(c)
-    basis: list[tuple[int, LocalSection]] = []
+    basis: list[tuple[int, Section]] = []
     entries = []
     for ci, (context, faces) in enumerate(cells):
-        cols = [(c, sign) for face, sign in faces for c in columns.get(face, ())]
-        sections, positions = restriction_map([face_basis[c][1] for c, _ in cols], context)
+        cols, restricted = [], []
+        for face, sign in faces:
+            cols += [(c, sign) for c in columns.get(face, ())]
+            sections, positions = restriction_map(
+                (face_basis[c][1] for c in columns.get(face, ())), face_contexts[face], context)
+            restricted += [sections[r] for r in positions]
+        # faces and cells list their members in scenario order, so each
+        # restriction is already a section over the cell; pool them
+        sections, positions = restriction_map(restricted, context, context)
         entries += [(len(basis) + r, c, sign) for r, (c, sign) in zip(positions, cols)]
         basis += [(ci, s) for s in sections]
     if len(basis) * max(len(face_basis), 1) > limit:
@@ -125,13 +134,14 @@ def build_coboundary_matrices(
         if overlap.members:
             edge_of[i, j] = len(edges)
             edges.append((overlap, ((j, 1), (i, -1))))
-    edge_basis, d0 = _coboundary(edges, vertex_basis, limit)
+    edge_basis, d0 = _coboundary(edges, cover, vertex_basis, limit)
     triangles = [
         (overlap, ((edge_of[j, k], 1), (edge_of[i, k], -1), (edge_of[i, j], 1)))
         for i, j, k in itertools.combinations(range(len(cover)), 3)
         if (overlap := cover[i].intersect(cover[j]).intersect(cover[k])).members
     ]
-    triangle_basis, d1 = _coboundary(triangles, edge_basis, limit)
+    edge_contexts = tuple(overlap for overlap, _ in edges)
+    triangle_basis, d1 = _coboundary(triangles, edge_contexts, edge_basis, limit)
     return CoboundaryMatrices(vertex_basis, edge_basis, triangle_basis, d0, d1)
 
 
@@ -142,7 +152,7 @@ def build_coboundary_matrices(
 @dataclass(frozen=True)
 class SectionObstruction:
     context_index: int
-    section: LocalSection
+    section: Section
     vanishes: bool
     #: the extending family over ``vertex_basis`` when the obstruction vanishes
     witness: tuple[int, ...] | None
@@ -151,7 +161,7 @@ class SectionObstruction:
 def obstruction(
     support_model: SupportModel,
     context_index: int,
-    section: LocalSection,
+    section: Section,
     matrices: CoboundaryMatrices,
 ) -> SectionObstruction:
     """Decide whether a compatible integer family extends the section.
@@ -166,7 +176,7 @@ def obstruction(
     """
     ctx = support_model.scenario.cover[context_index]
     if section not in support_model.support(ctx):
-        raise ValueError(f"section {section.label()} not in the support of {ctx.label()}")
+        raise ValueError(f"section {section_label(section)} not in the support of {ctx.label()}")
 
     # the block lists the context's columns in support order
     block, nf = matrices.projections[context_index]

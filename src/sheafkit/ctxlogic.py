@@ -277,7 +277,7 @@ def eval_in_context(
     """Supervaluation over the context's supported sections."""
     validate_proposition(prop, support_model.scenario)
     values = {
-        eval_against_section(prop, section.as_dict())
+        eval_against_section(prop, dict(zip(context.members, section)))
         for section in support_model.support(context)
     }
     if values == {T}:

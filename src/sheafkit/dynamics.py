@@ -57,17 +57,23 @@ VISIBILITY_FLOOR = 1e-12
 STABILITY_FACTOR = 0.2
 #: Largest share of the grid that may newly fall below ``RHO_FLOOR`` in a run.
 COLLAPSE_FRACTION = 0.10
+#: Most grid points; one complex field of this size is 64 MiB.
+GRID_POINTS_LIMIT = 2**22
+#: Most bytes of density frames one run may collect.
+FRAME_BYTES_LIMIT = 2**30
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic 1-D grid centered on zero; n_points a power of two >= 64."""
+    """Periodic 1-D grid centered on zero; n_points a power of two in [64, GRID_POINTS_LIMIT]."""
 
     n_points: int
     length: float
 
     def __post_init__(self) -> None:
         n = self.n_points
+        if n > GRID_POINTS_LIMIT:
+            raise SizeLimitExceeded(f"n_points {n} exceeds the limit of {GRID_POINTS_LIMIT}")
         if n < 64 or n & (n - 1):
             raise ValueError(f"n_points must be a power of two >= 64, got {n}")
         if not 0 < self.length < math.inf:
@@ -373,7 +379,8 @@ def evolve(
     carried as its spectrum, so a step costs one FFT free and three with a
     potential.  The collapse guard checks the density after every step.
     Returns the records and, when ``collect_frames``, the density frames
-    alongside.  A run of more than ``step_budget`` steps raises
+    alongside.  A run of more than ``step_budget`` steps, or whose frames
+    would take more than ``FRAME_BYTES_LIMIT`` bytes, raises
     SizeLimitExceeded before the first step.
     """
     check_timestep(dt, grid, params)
@@ -395,6 +402,11 @@ def evolve(
             f"t_final / dt = {t_final} / {dt} is {ratio:.3g} steps, "
             f"more than the step budget of {step_budget}"
         )
+    # the initial frame, then one per record_every steps and one at the end
+    n_frames = 1 + -(-n_steps // record_every) if collect_frames else 0
+    if n_frames * grid.n_points * 8 > FRAME_BYTES_LIMIT:
+        raise SizeLimitExceeded(f"{n_frames} frames of {grid.n_points} points exceed the "
+                                f"frame limit of {FRAME_BYTES_LIMIT} bytes")
     field = _field_params(params)
     psi = polar_decompose(initial.rho, initial.s, field)
     rho = np.abs(psi) ** 2
@@ -476,8 +488,8 @@ def lambda_from_sigma(
     map is a monotone piecewise-linear table of (sigma, lambda) pairs,
     clamped to its end values outside the table range.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if map_spec is None:
         return min(max(params.mass * sigma / params.hbar, 0.0), 1.0)
     points = [(float(s), float(l)) for s, l in map_spec]

@@ -25,7 +25,7 @@ from . import simplex
 from .errors import GLOBAL_LIMIT, NODE_BUDGET, IncompatibleModel, InvalidModel, SizeLimitExceeded
 from .presheaf import (
     EmpiricalModel,
-    LocalSection,
+    Section,
     SupportModel,
     build_model,
     check_compatibility,
@@ -52,14 +52,15 @@ class ContextualityVerdict:
     leaves the field None unless logical contextuality already refutes it;
     :func:`classify_contextuality` fills it from the contextual-fraction LP.
     ``global_section_unique`` reports uniqueness of the gluing on supports
-    (meaningful only when a global support section exists).
+    (meaningful only when a global support section exists), which is an
+    outcome tuple over ``scenario.observable_ids``.
     """
 
     noncontextual: bool | None
     logically_contextual: bool
     strongly_contextual: bool
-    nonextendable_section: tuple[int, LocalSection] | None
-    global_support_section: LocalSection | None
+    nonextendable_section: tuple[int, Section] | None
+    global_support_section: Section | None
     global_section_unique: bool | None
 
 
@@ -80,10 +81,7 @@ class _Backtracker:
         self.order = sorted(
             scenario.observable_ids, key=lambda o: (-degree[o], scenario.index(o))
         )
-        self.contexts = [
-            (ctx.members, [s.outcomes for s in support_model.support(ctx)])
-            for ctx in scenario.cover
-        ]
+        self.contexts = [(ctx.members, support_model.support(ctx)) for ctx in scenario.cover]
 
     def _consistent(self, asg: dict[str, int]) -> bool:
         for members, tuples in self.contexts:
@@ -94,8 +92,8 @@ class _Backtracker:
                 return False
         return True
 
-    def search(self, fixed: Mapping[str, int], max_solutions: int) -> list[LocalSection]:
-        solutions: list[LocalSection] = []
+    def search(self, fixed: Mapping[str, int], max_solutions: int) -> list[Section]:
+        solutions: list[Section] = []
         asg = dict(fixed)
         todo = [o for o in self.order if o not in fixed]
         if not self._consistent(asg):
@@ -106,8 +104,7 @@ class _Backtracker:
             if self.nodes > self.node_budget:
                 raise SizeLimitExceeded(f"backtracking exceeded {self.node_budget} nodes")
             if depth == len(todo):
-                ids = self.scenario.observable_ids
-                solutions.append(LocalSection(ids, tuple(asg[m] for m in ids)))
+                solutions.append(tuple(asg[m] for m in self.scenario.observable_ids))
                 return len(solutions) >= max_solutions
             obs = todo[depth]
             for value in range(self.scenario.arity(obs)):
@@ -133,13 +130,13 @@ def sheaf_check(support_model: SupportModel, node_budget: int = NODE_BUDGET) -> 
     gluings = bt.search({}, max_solutions=2)
     strongly = not gluings
 
-    nonextendable: tuple[int, LocalSection] | None = None
+    nonextendable: tuple[int, Section] | None = None
     for ci, ctx in enumerate(support_model.scenario.cover):
         for section in support_model.support(ctx):
             if strongly:
                 nonextendable = (ci, section)
                 break
-            if not bt.search(section.as_dict(), max_solutions=1):
+            if not bt.search(dict(zip(ctx.members, section)), max_solutions=1):
                 nonextendable = (ci, section)
                 break
         if nonextendable:
@@ -164,13 +161,14 @@ def sheaf_check(support_model: SupportModel, node_budget: int = NODE_BUDGET) -> 
 class IncidenceMatrix:
     """0/1 matrix pairing (cover context, section) rows with global columns.
 
-    Each column is a global assignment, a section over all observables.  It
-    holds exactly one 1 per cover context, in the row of the section that the
-    column restricts to; ``column_rows[j]`` lists those k rows in cover order.
+    Each column is a global assignment, an outcome tuple over
+    ``scenario.observable_ids``.  It holds exactly one 1 per cover context, in
+    the row of the section that the column restricts to; ``column_rows[j]``
+    lists those k rows in cover order.
     """
 
-    rows: tuple[tuple[int, LocalSection], ...]
-    columns: tuple[LocalSection, ...]
+    rows: tuple[tuple[int, Section], ...]
+    columns: tuple[Section, ...]
     column_rows: tuple[tuple[int, ...], ...]
 
 
@@ -180,11 +178,11 @@ def build_incidence(scenario: MeasurementScenario, limit: int = GLOBAL_LIMIT) ->
     if section_count(everything, scenario) > limit:
         raise SizeLimitExceeded(f"more than {limit} global assignments")
     columns = tuple(enumerate_sections(everything, scenario, limit))
-    rows: list[tuple[int, LocalSection]] = []
+    rows: list[tuple[int, Section]] = []
     per_context = []
     for ci, ctx in enumerate(scenario.cover):
         # every section of a context is the restriction of some global
-        sections, positions = restriction_map(columns, ctx)
+        sections, positions = restriction_map(columns, everything, ctx)
         first = len(rows)
         rows.extend((ci, s) for s in sections)
         per_context.append([first + r for r in positions])
@@ -278,15 +276,20 @@ def classify_contextuality(
 
 def model_from_global_weights(
     scenario: MeasurementScenario,
-    weights: Mapping[LocalSection, Number],
+    weights: Mapping[Section, Number],
     mode: str = "rational",
 ) -> EmpiricalModel:
     """Project a distribution on global assignments to cover tables.
 
-    ``weights`` maps global sections to their weight.  Models built this way
-    are compatible and noncontextual by construction, which makes this the
+    ``weights`` maps global assignments, outcome tuples over
+    ``scenario.observable_ids``, to their weight.  Models built this way are
+    compatible and noncontextual by construction, which makes this the
     canonical generator for round-trip tests.
     """
     if not isinstance(weights, Mapping):
         raise InvalidModel(f"global weights must be a mapping, not {type(weights).__name__}")
-    return build_model(scenario, {ctx: marginalize(weights, ctx) for ctx in scenario.cover}, mode)
+    ids = scenario.observable_ids
+    if any(not isinstance(g, tuple) or len(g) != len(ids) for g in weights):
+        raise InvalidModel(f"each global assignment must be an outcome tuple over {list(ids)}")
+    tables = {ctx: marginalize(weights, ids, ctx) for ctx in scenario.cover}
+    return build_model(scenario, tables, mode)

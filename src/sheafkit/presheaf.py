@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     EmptySupport,
@@ -47,59 +47,37 @@ _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?0*(\d+)\s*$", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class LocalSection:
-    """An outcome assignment over exactly one context.
+#: A section over a context: its outcome tuple, in the context's member order.
+Section = tuple[int, ...]
 
-    ``members`` and ``outcomes`` are parallel tuples in the context's
-    canonical member order.
-    """
 
-    members: tuple[str, ...]
-    outcomes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.members) != len(self.outcomes):
-            raise InvalidModel("section members/outcomes length mismatch")
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.members, self.outcomes))
-
-    def label(self) -> str:
-        """Section key: concatenated digits, comma-joined above one digit."""
-        if all(o < 10 for o in self.outcomes):
-            return "".join(str(o) for o in self.outcomes)
-        return ",".join(str(o) for o in self.outcomes)
+def section_label(outcomes: Section) -> str:
+    """Section key: concatenated digits, comma-joined above one digit."""
+    if all(o < 10 for o in outcomes):
+        return "".join(str(o) for o in outcomes)
+    return ",".join(str(o) for o in outcomes)
 
 
 def restriction_map(
-    sections: Iterable[LocalSection], subcontext: Context | Iterable[str]
-) -> tuple[tuple[LocalSection, ...], tuple[int, ...]]:
-    """Project sections onto a subcontext, pooling equal projections.
+    sections: Iterable[Section],
+    domain: Context | Sequence[str],
+    subcontext: Context | Iterable[str],
+) -> tuple[tuple[Section, ...], tuple[int, ...]]:
+    """Project sections over ``domain`` onto a subcontext, pooling equal
+    projections.
 
-    Returns the distinct restrictions in lexicographic outcome order and, for
-    each input section, the position of its restriction among them.  The
-    sections may span several domains; each domain's kept positions are
-    worked out once.  A restriction lists its members in its section's order.
+    Returns the distinct restrictions in lexicographic order and, for each
+    input section, the position of its restriction among them.  A restriction
+    lists its outcomes in the domain's member order.
     """
     wanted = set(subcontext)
-    kept: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[str, ...]]] = {}
-    keys = []
-    for section in sections:
-        domain = section.members
-        if domain not in kept:
-            positions = tuple(i for i, m in enumerate(domain) if m in wanted)
-            if len(positions) != len(wanted):
-                raise NotASubcontext(
-                    f"{sorted(wanted)} is not contained in section domain {list(domain)}"
-                )
-            kept[domain] = positions, tuple(domain[i] for i in positions)
-        positions, members = kept[domain]
-        keys.append((tuple(section.outcomes[i] for i in positions), members))
+    positions = tuple(i for i, m in enumerate(domain) if m in wanted)
+    if len(positions) != len(wanted):
+        raise NotASubcontext(f"{sorted(wanted)} is not contained in section domain {list(domain)}")
+    keys = [tuple(section[i] for i in positions) for section in sections]
     distinct = sorted(set(keys))
     index = {key: r for r, key in enumerate(distinct)}
-    return (tuple(LocalSection(members, outs) for outs, members in distinct),
-            tuple(index[key] for key in keys))
+    return tuple(distinct), tuple(index[key] for key in keys)
 
 
 def section_count(context: Context, scenario: MeasurementScenario) -> int:
@@ -113,29 +91,29 @@ def enumerate_sections(
     context: Context,
     scenario: MeasurementScenario,
     limit: int = SECTION_LIMIT,
-) -> list[LocalSection]:
-    """All sections of a context, lexicographic in the outcome tuple."""
+) -> list[Section]:
+    """All sections of a context, in lexicographic order."""
     if section_count(context, scenario) > limit:
         raise SizeLimitExceeded(
             f"context {context.label()} has more than {limit} sections"
         )
     ranges = [range(scenario.arity(m)) for m in context.members]
-    return [LocalSection(context.members, outs) for outs in itertools.product(*ranges)]
+    return list(itertools.product(*ranges))
 
 
 @dataclass(frozen=True)
 class EmpiricalModel:
     """Per-cover-context probability tables over local sections.
 
-    Tables are dense: every section of the context appears as a key, with
-    zero probability where the data had no entry.
+    Tables are dense: every section of the context, as its outcome tuple,
+    appears as a key, with zero probability where the data had no entry.
     """
 
     scenario: MeasurementScenario
     mode: str
-    tables: Mapping[Context, Mapping[LocalSection, Number]]
+    tables: Mapping[Context, Mapping[Section, Number]]
 
-    def table(self, context: Context) -> Mapping[LocalSection, Number]:
+    def table(self, context: Context) -> Mapping[Section, Number]:
         return self.tables[context]
 
     @property
@@ -177,8 +155,8 @@ def build_model(
     """Validate tables (domains, non-negativity, normalization) into a model.
 
     ``tables`` maps each cover context (Context or iterable of ids) to a
-    mapping from sections (LocalSection or outcome tuple) to probabilities.
-    Missing sections read as zero.
+    mapping from sections (outcome tuples in the context's member order) to
+    probabilities.  Missing sections read as zero.
     """
     if mode not in ("rational", "float"):
         raise InvalidModel(f"unknown numeric mode {mode!r}")
@@ -195,7 +173,7 @@ def build_model(
     if extra:
         raise InvalidModel(f"tables for non-cover contexts {[c.label() for c in extra]}")
 
-    dense: dict[Context, dict[LocalSection, Number]] = {}
+    dense: dict[Context, dict[Section, Number]] = {}
     zero: Number = Fraction(0) if mode == "rational" else 0.0
     for ctx in scenario.cover:
         full = {s: zero for s in enumerate_sections(ctx, scenario)}
@@ -214,31 +192,26 @@ def build_model(
     return EmpiricalModel(scenario, mode, dense)
 
 
-def _as_section(raw: object, ctx: Context, scenario: MeasurementScenario) -> LocalSection:
-    if isinstance(raw, LocalSection):
-        sec = raw
-        if sec.members != ctx.members:
-            raise InvalidModel(
-                f"section over {list(sec.members)} in table for {ctx.label()}"
-            )
-    elif isinstance(raw, tuple):
-        sec = LocalSection(ctx.members, tuple(int(o) for o in raw))
-    else:
-        raise InvalidModel(f"cannot read table key {raw!r} as a section")
-    for m, o in zip(sec.members, sec.outcomes):
+def _as_section(raw: object, ctx: Context, scenario: MeasurementScenario) -> Section:
+    if not isinstance(raw, tuple) or len(raw) != len(ctx):
+        raise InvalidModel(f"cannot read table key {raw!r} as a section of {ctx.label()}")
+    for m, o in zip(ctx.members, raw):
+        if not isinstance(o, int) or isinstance(o, bool):
+            raise InvalidModel(f"outcome {o!r} of observable {m!r} is not an integer")
         if not 0 <= o < scenario.arity(m):
             raise OutcomeOutOfRange(f"outcome {o} out of range for observable {m!r}")
-    return sec
+    return raw
 
 
 def marginalize(
-    table: Mapping[LocalSection, Number],
+    table: Mapping[Section, Number],
+    domain: Context | Sequence[str],
     overlap: Context | Iterable[str],
-) -> dict[LocalSection, Number]:
-    """Push a context's distribution down to a subcontext by summation."""
+) -> dict[Section, Number]:
+    """Push a distribution over ``domain`` down to a subcontext by summation."""
     if not table:
         raise InvalidModel("cannot marginalize an empty table")
-    restricted, positions = restriction_map(table, overlap)
+    restricted, positions = restriction_map(table, domain, overlap)
     sums: list[Number] = [0] * len(restricted)
     for r, p in zip(positions, table.values()):
         sums[r] += p
@@ -265,8 +238,8 @@ def check_compatibility(model: EmpiricalModel) -> tuple[CompatibilityViolation, 
         overlap = cover[i].intersect(cover[j])
         if not overlap.members:
             continue
-        mi = marginalize(model.table(cover[i]), overlap)
-        mj = marginalize(model.table(cover[j]), overlap)
+        mi = marginalize(model.table(cover[i]), cover[i], overlap)
+        mj = marginalize(model.table(cover[j]), cover[j], overlap)
         disc = max(abs(mi[s] - mj[s]) for s in mi)
         if disc > model.atol:
             violations.append(CompatibilityViolation((i, j), overlap, disc))
@@ -279,14 +252,13 @@ class SupportModel:
     held as a duplicate-free tuple in lexicographic outcome order."""
 
     scenario: MeasurementScenario
-    supports: Mapping[Context, tuple[LocalSection, ...]]
+    supports: Mapping[Context, tuple[Section, ...]]
 
     def __post_init__(self) -> None:
-        ordered = {c: tuple(sorted(set(s), key=lambda sec: sec.outcomes))
-                   for c, s in self.supports.items()}
+        ordered = {c: tuple(sorted(set(s))) for c, s in self.supports.items()}
         object.__setattr__(self, "supports", ordered)
 
-    def support(self, context: Context) -> tuple[LocalSection, ...]:
+    def support(self, context: Context) -> tuple[Section, ...]:
         return self.supports[context]
 
 

@@ -33,8 +33,9 @@ class Observable:
     arity: int
 
     def __post_init__(self) -> None:
-        if self.arity < 2:
-            raise InvalidScenario(f"observable {self.id!r} needs arity >= 2, got {self.arity}")
+        if type(self.arity) is not int or self.arity < 2:  # bool is an int subclass
+            raise InvalidScenario(
+                f"observable {self.id!r} needs an integer arity >= 2, got {self.arity!r}")
 
 
 @dataclass(frozen=True)

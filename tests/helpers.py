@@ -142,8 +142,8 @@ def random_box_mixture(rng: random.Random) -> sk.EmpiricalModel:
     for i, ctx in enumerate(scenario.cover):
         table = {}
         for s, q in noise.table(ctx).items():
-            box = HALF if (s.outcomes[0] ^ s.outcomes[1]) == (i in odd) else Fraction(0)
-            table[s.outcomes] = v * box + (1 - v) * q
+            box = HALF if (s[0] ^ s[1]) == (i in odd) else Fraction(0)
+            table[s] = v * box + (1 - v) * q
         tables[ctx.members] = table
     return sk.build_model(scenario, tables)
 
@@ -167,11 +167,27 @@ def noisy_cycle_model(n: int, v: Fraction) -> sk.EmpiricalModel:
     return sk.build_model(scenario, tables)
 
 
+def bell_model(m: int, d: int, tables: dict) -> sk.EmpiricalModel:
+    """Bell m x m x d scenario; tables[(i, j)] maps (a_i, b_j) to a probability."""
+    sc = sk.build_scenario(
+        [(f"a{i}", d) for i in range(m)] + [(f"b{j}", d) for j in range(m)],
+        [[f"a{i}", f"b{j}"] for i in range(m) for j in range(m)],
+    )
+    return sk.build_model(sc, {(f"a{i}", f"b{j}"): t for (i, j), t in tables.items()})
+
+
+def avn_model() -> sk.EmpiricalModel:
+    """Bell 3 x 3 x 2 all-versus-nothing: a_i xor b_j = 1 only at (2, 2),
+    which no g(i) xor h(j) fits.  Its cover has triangles, so D1 is not empty."""
+    return bell_model(3, 2, {
+        (i, j): {(a, a ^ (i == j == 2)): HALF for a in (0, 1)} for i in range(3) for j in range(3)
+    })
+
+
 def deterministic_support(scenario: sk.MeasurementScenario,
                           assignment: dict[str, int]) -> sk.SupportModel:
     """Singleton supports: the restrictions of one global assignment."""
-    ids = scenario.observable_ids
-    g = sk.LocalSection(ids, tuple(assignment[m] for m in ids))
+    g = tuple(assignment[m] for m in scenario.observable_ids)
     return sk.support_of(sk.model_from_global_weights(scenario, {g: Fraction(1)}))
 
 
@@ -197,7 +213,7 @@ def model_to_dict(model: sk.EmpiricalModel) -> dict:
     tables = []
     for ctx in model.scenario.cover:
         probs = {
-            sec.label(): str(p) if model.mode == "rational" else p
+            sk.section_label(sec): str(p) if model.mode == "rational" else p
             for sec, p in model.table(ctx).items()
             if p != 0
         }
@@ -247,8 +263,8 @@ def _supports_compatible(scenario, supports) -> bool:
         overlap = ca.intersect(cb)
         if not overlap.members:
             continue
-        restricted_a, _ = sk.restriction_map(supports[ca], overlap)
-        restricted_b, _ = sk.restriction_map(supports[cb], overlap)
+        restricted_a, _ = sk.restriction_map(supports[ca], ca, overlap)
+        restricted_b, _ = sk.restriction_map(supports[cb], cb, overlap)
         if restricted_a != restricted_b:
             return False
     return True
@@ -267,8 +283,7 @@ def brute_force_globals(support_model: sk.SupportModel) -> list[dict[str, int]]:
         g = dict(zip(ids, outs))
         ok = True
         for ctx in scenario.cover:
-            sec = sk.LocalSection(ctx.members, tuple(g[m] for m in ctx.members))
-            if sec not in support_model.support(ctx):
+            if tuple(g[m] for m in ctx.members) not in support_model.support(ctx):
                 ok = False
                 break
         if ok:
@@ -277,17 +292,17 @@ def brute_force_globals(support_model: sk.SupportModel) -> list[dict[str, int]]:
 
 
 def brute_force_extends(support_model: sk.SupportModel, ctx_index: int,
-                        section: sk.LocalSection) -> bool:
+                        section: tuple[int, ...]) -> bool:
     scenario = support_model.scenario
     ctx = scenario.cover[ctx_index]
-    target = dict(zip(section.members, section.outcomes))
+    target = dict(zip(ctx.members, section))
     for g in brute_force_globals(support_model):
         if all(g[m] == target[m] for m in ctx.members):
             return True
     return False
 
 
-def free_column_vanishes(matrices, context_index: int, section: sk.LocalSection) -> bool:
+def free_column_vanishes(matrices, context_index: int, section: tuple[int, ...]) -> bool:
     """One section's obstruction, decided by its own integer system.
 
     Solves D0 r = 0 with the context's block pinned to the section's
@@ -301,7 +316,7 @@ def free_column_vanishes(matrices, context_index: int, section: sk.LocalSection)
     return smith_normal_form(a).solve([-row[fixed] for row in d0.a]) is not None
 
 
-def assert_witness(reference, context_index: int, section: sk.LocalSection, witness) -> None:
+def assert_witness(reference, context_index: int, section: tuple[int, ...], witness) -> None:
     """``witness`` is a compatible integer family through the section.
 
     ``reference`` is ``reference_coboundary`` of the support model: the
@@ -334,26 +349,26 @@ def kernel_coordinate_invariants(d_out: ZMat, d_in: ZMat) -> tuple[int, list[int
     return r - nf.rank, [d for d in nf.divisors if d != 1]
 
 
-def project(section: sk.LocalSection, subcontext: Iterable[str]) -> sk.LocalSection:
-    """Plain restriction: the members the subcontext names, in the section's
-    order, with their outcomes; no check that it names only those."""
+def project(section: tuple[int, ...], domain: Iterable[str],
+            subcontext: Iterable[str]) -> tuple[int, ...]:
+    """Plain restriction: the outcomes of the domain members the subcontext
+    names, in the domain's order; no check that it names only those."""
     wanted = set(subcontext)
-    pairs = [(m, o) for m, o in zip(section.members, section.outcomes) if m in wanted]
-    return sk.LocalSection(tuple(m for m, _ in pairs), tuple(o for _, o in pairs))
+    return tuple(o for m, o in zip(domain, section, strict=True) if m in wanted)
 
 
 def reference_incidence(scenario: sk.MeasurementScenario):
     """(rows, columns, column_rows) built one global and context at a time:
     each context's rows enumerated, each global projected and looked up."""
     columns = tuple(sk.enumerate_sections(sk.Context(scenario.observable_ids), scenario, 2**24))
-    rows: list[tuple[int, sk.LocalSection]] = []
+    rows: list[tuple[int, tuple[int, ...]]] = []
     per_context = []
     for ci, ctx in enumerate(scenario.cover):
         first = len(rows)
         sections = sk.enumerate_sections(ctx, scenario)
         rows.extend((ci, s) for s in sections)
         row_of = {s: first + r for r, s in enumerate(sections)}
-        per_context.append([row_of[project(g, ctx)] for g in columns])
+        per_context.append([row_of[project(g, scenario.observable_ids, ctx)] for g in columns])
     return tuple(rows), columns, tuple(zip(*per_context))
 
 
@@ -361,29 +376,33 @@ def reference_coboundary(support_model: sk.SupportModel):
     """(vertex, edge and triangle bases, D0, D1) filled one section at a time.
 
     The cells are the non-empty pairwise and triple overlaps of the cover,
-    found here by set intersection of member ids.  A cell's basis is the sorted set of its faces' projected sections; each
+    found here by set intersection of member ids and listed in scenario order.
+    A cell's basis is the sorted set of its vertices' projected sections; each
     face section adds its sign at the row of its projection, found by index.
     """
+    ids = support_model.scenario.observable_ids
     cover = support_model.scenario.cover
     supp = [support_model.support(ctx) for ctx in cover]
     vertex_basis = [(vi, s) for vi in range(len(supp)) for s in supp[vi]]
 
     def overlap(indices):
-        return set.intersection(*(set(cover[i].members) for i in indices))
+        """The cell's members, in scenario order."""
+        common = set.intersection(*(set(cover[i].members) for i in indices))
+        return tuple(m for m in ids if m in common)
 
     edges = [e for e in itertools.combinations(range(len(cover)), 2) if overlap(e)]
     triangles = [t for t in itertools.combinations(range(len(cover)), 3) if overlap(t)]
 
-    def basis_of(groups, target):
-        return sorted({project(s, target) for group in groups for s in group},
-                      key=lambda s: s.outcomes)
+    def basis_of(faces, target):
+        return sorted({project(s, domain, target) for domain, group in faces for s in group})
 
-    edge_sections = [basis_of([supp[i], supp[j]], overlap((i, j))) for i, j in edges]
+    edge_sections = [basis_of([(cover[i], supp[i]), (cover[j], supp[j])], overlap((i, j)))
+                     for i, j in edges]
     edge_basis = [(ei, s) for ei, secs in enumerate(edge_sections) for s in secs]
     triangle_basis = [
         (ti, s)
         for ti, t in enumerate(triangles)
-        for s in basis_of([supp[v] for v in t], overlap(t))
+        for s in basis_of([(cover[v], supp[v]) for v in t], overlap(t))
     ]
     vcol = {key: idx for idx, key in enumerate(vertex_basis)}
     erow = {key: idx for idx, key in enumerate(edge_basis)}
@@ -393,7 +412,7 @@ def reference_coboundary(support_model: sk.SupportModel):
     for ei, (i, j) in enumerate(edges):
         for vi, sign in ((j, 1), (i, -1)):
             for s in supp[vi]:
-                d0.a[erow[(ei, project(s, overlap((i, j))))]][vcol[(vi, s)]] += sign
+                d0.a[erow[(ei, project(s, cover[vi], overlap((i, j))))]][vcol[(vi, s)]] += sign
 
     d1 = ZMat.zeros(len(triangle_basis), len(edge_basis))
     edge_index = {e: ei for ei, e in enumerate(edges)}
@@ -401,7 +420,8 @@ def reference_coboundary(support_model: sk.SupportModel):
         for pair, sign in (((j, k), 1), ((i, k), -1), ((i, j), 1)):
             ei = edge_index[pair]
             for s in edge_sections[ei]:
-                d1.a[trow[(ti, project(s, overlap((i, j, k))))]][erow[(ei, s)]] += sign
+                row = trow[(ti, project(s, overlap(pair), overlap((i, j, k))))]
+                d1.a[row][erow[(ei, s)]] += sign
     return tuple(vertex_basis), tuple(edge_basis), tuple(triangle_basis), d0, d1
 
 

@@ -5,9 +5,11 @@ import struct
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+import helpers
 import sheafkit as sk
 from sheafkit import cli, ctxlogic
 
@@ -473,6 +475,31 @@ def test_evolve_map_file(tmp_path, capsys):
     assert json.loads(out)["results"]["lambda"] == 0.5
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_evolve_sigma_must_be_finite(capsys, sigma):
+    code, out, err = run_cli(["evolve", "--sigma", sigma, "--t-final", "0.0015", "--no-timings"],
+                             capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err.startswith("error: sigma must be finite")
+
+
+def test_evolve_grid_and_frame_limits_exit_invalid(tmp_path, monkeypatch, capsys):
+    from sheafkit import dynamics
+
+    code, out, err = run_cli(["evolve", "--lambda", "1", "--grid-n", str(2**40)], capsys)
+    assert code == cli.EXIT_INVALID and out == "" and "n_points" in err
+    # three frames of 512 points against a limit of two
+    monkeypatch.setattr(dynamics, "FRAME_BYTES_LIMIT", 2 * 512 * 8)
+    dump = tmp_path / "frames.bin"
+    code, out, err = run_cli(
+        ["evolve", "--lambda", "1", "--t-final", "0.02", "--dt", "1e-4", "--record-every", "100",
+         "--dump", str(dump), "--no-timings"],
+        capsys,
+    )
+    assert code == cli.EXIT_INVALID and out == "" and "frame limit" in err
+    assert not dump.exists()
+
+
 def test_evolve_harmonic_potential_and_window(capsys):
     code, out, _ = run_cli(
         [
@@ -711,6 +738,43 @@ _GOLDEN_REPORTS = {
 def test_report_bytes_match_the_pinned_digests(capsys, argv, fmt):
     code, out, _ = run_cli([*argv, "--format", fmt, "--no-timings"], capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == _GOLDEN_REPORTS[argv, fmt]
+
+
+#: Models with larger bases than the fixtures, written to a fixed relative
+#: path so that the report's ``inputs.path`` is stable.  The all-versus-nothing
+#: cover has triple overlaps, so its D1 is not empty.
+_GOLDEN_MODELS = {
+    "avn": helpers.avn_model,
+    "cycle6": lambda: helpers.noisy_cycle_model(6, Fraction(4, 5)),
+}
+#: (model, subcommand, --format) -> (exit code, sha256 of the --no-timings stdout)
+_GOLDEN_MODEL_REPORTS = {
+    ("avn", "cohomology", "json"):
+        (10, "699b742deb6f5482a9fb05102e2cd1aec50e26e9b5092452c1c649d46ccf3b7c"),
+    ("avn", "cohomology", "csv"):
+        (10, "60a4ed7d92329b768c21a4a9b8bc75f15b997a1aa8dd97c0e703bb89ded49eca"),
+    ("cycle6", "check", "json"):
+        (10, "1109d29a7601bd5721a02a37baf3d5a4194707d6541032f71e1f5e86c7354b12"),
+    ("cycle6", "check", "text"):
+        (10, "60ace50ecc184866e43e1bbf66e2c7db4622042db5e2f9af000bb902376c213a"),
+    ("cycle6", "fraction", "json"):
+        (10, "7982625e8febab97908a4910cf98ed2ae33613409e5bff955da7148ca19152d6"),
+    ("cycle6", "fraction", "text"):
+        (10, "1d2299a1b2b67ebd5e094a86debbeb8832f74ad6c890214a8122281bf2e78747"),
+}
+
+
+@pytest.mark.parametrize("name, subcommand, fmt", list(_GOLDEN_MODEL_REPORTS),
+                         ids=["-".join(key) for key in _GOLDEN_MODEL_REPORTS])
+def test_model_report_bytes_match_the_pinned_digests(tmp_path, monkeypatch, capsys,
+                                                     name, subcommand, fmt):
+    monkeypatch.chdir(tmp_path)
+    path = f"{name}.json"
+    (tmp_path / path).write_text(
+        json.dumps(helpers.model_to_dict(_GOLDEN_MODELS[name]()), sort_keys=True))
+    code, out, _ = run_cli([subcommand, path, "--format", fmt, "--no-timings"], capsys)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == _GOLDEN_MODEL_REPORTS[name, subcommand, fmt]
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,8 @@ from sheafkit.intlinalg import ZMat
 from helpers import (
     HALF,
     assert_witness,
+    avn_model,
+    bell_model,
     bell_scenario,
     brute_force_extends,
     deterministic_model,
@@ -39,10 +42,6 @@ from helpers import (
 F = Fraction
 
 
-def sec(members, outcomes):
-    return sk.LocalSection(tuple(members), tuple(outcomes))
-
-
 # --- degree-0 coboundary on indicator families --------------------------------
 
 
@@ -51,13 +50,13 @@ def _full_support_matrices(sc):
     tables = {}
     for c in sc.cover:
         sections = sk.enumerate_sections(c, sc)
-        tables[c.members] = {s.outcomes: F(1, len(sections)) for s in sections}
+        tables[c.members] = {s: F(1, len(sections)) for s in sections}
     return build_coboundary_matrices(sk.support_of(sk.build_model(sc, tables)))
 
 
-def _image_of_picks(mats, picks):
+def _image_of_picks(sc, mats, picks):
     """D0 times the family with one 1 per context, at the picked outcomes."""
-    family = [int(s.outcomes == picks[s.members]) for _, s in mats.vertex_basis]
+    family = [int(s == picks[sc.cover[vi].members]) for vi, s in mats.vertex_basis]
     assert sum(family) == len({vi for vi, _ in mats.vertex_basis})
     return [sum(a * w for a, w in zip(row, family)) for row in mats.d0.a]
 
@@ -68,11 +67,12 @@ def test_coboundary_of_compatible_family_is_zero():
     mats = _full_support_matrices(sc)
     g = {"x": 0, "y": 1, "z": 0}
     picks = {c.members: tuple(g[m] for m in c.members) for c in sc.cover}
-    assert mats.d0.m and not any(_image_of_picks(mats, picks))
+    assert mats.d0.m and not any(_image_of_picks(sc, mats, picks))
 
 
 def test_coboundary_pr_box_family():
-    mats = _full_support_matrices(bell_scenario())
+    sc = bell_scenario()
+    mats = _full_support_matrices(sc)
     # family: 00 in (a1,b1), 01 in (a1,b2), 00 in (a2,b1), 00 in (a2,b2)
     picks = {
         ("a1", "b1"): (0, 0),
@@ -80,10 +80,12 @@ def test_coboundary_pr_box_family():
         ("a2", "b1"): (0, 0),
         ("a2", "b2"): (0, 0),
     }
-    image = _image_of_picks(mats, picks)
+    image = _image_of_picks(sc, mats, picks)
+    # the edges are the non-empty pairwise overlaps, in (i, j) order
+    edges = [m for a, b in itertools.combinations(sc.cover, 2) if (m := a.intersect(b).members)]
     by_edge = {}
-    for value, (_, s) in zip(image, mats.edge_basis):
-        by_edge.setdefault(s.members, []).append(value)
+    for value, (ei, _) in zip(image, mats.edge_basis):
+        by_edge.setdefault(edges[ei], []).append(value)
     # both (a1,*) picks restrict to a1=0: zero difference on edge {a1}
     assert by_edge[("a1",)] == [0, 0]
     # edge {b2}: (a2,b2) gives b2=0 but (a1,b2) gives b2=1: +-1 on its two rows
@@ -91,9 +93,10 @@ def test_coboundary_pr_box_family():
 
 
 def test_coboundary_no_edges():
-    mats = _full_support_matrices(sk.build_scenario([("a", 2), ("b", 2)], [["a"], ["b"]]))
+    sc = sk.build_scenario([("a", 2), ("b", 2)], [["a"], ["b"]])
+    mats = _full_support_matrices(sc)
     assert (mats.d0.m, mats.d0.n) == (0, 4)
-    assert _image_of_picks(mats, {("a",): (0,), ("b",): (0,)}) == []
+    assert _image_of_picks(sc, mats, {("a",): (0,), ("b",): (0,)}) == []
 
 
 # --- coboundary matrices ---------------------------------------------------------
@@ -172,7 +175,7 @@ def test_matrices_match_reference():
             sk.support_of(sk.model_from_global_weights(sc, few)),
             sk.support_of(random_global_model(rng, sc, sparse=True)),
         ]
-    supports.append(sk.support_of(_avn_model()))
+    supports.append(sk.support_of(avn_model()))
     triangles = 0
     for supp in supports:
         mats = build_coboundary_matrices(supp)
@@ -268,7 +271,7 @@ def test_nonvanishing_verdicts_confirmed_by_rational_infeasibility():
 
 def test_obstruction_requires_supported_section():
     supp = sk.support_of(pr_box_model())
-    bad = sec(("a1", "b1"), (0, 1))
+    bad = (0, 1)  # over {a1, b1}, where the PR box supports 00 and 11
     with pytest.raises(ValueError):
         obstruction(supp, 0, bad, build_coboundary_matrices(supp))
 
@@ -293,23 +296,6 @@ def test_soundness_on_random_models():
     assert checked > 100
 
 
-def _bell(m, d, tables):
-    """Bell m x m x d scenario; tables[(i, j)] maps (a_i, b_j) to a probability."""
-    sc = sk.build_scenario(
-        [(f"a{i}", d) for i in range(m)] + [(f"b{j}", d) for j in range(m)],
-        [[f"a{i}", f"b{j}"] for i in range(m) for j in range(m)],
-    )
-    return sk.build_model(sc, {(f"a{i}", f"b{j}"): t for (i, j), t in tables.items()})
-
-
-def _avn_model():
-    """Bell 3 x 3 x 2 all-versus-nothing: a_i xor b_j = 1 only at (2, 2),
-    which no g(i) xor h(j) fits."""
-    return _bell(3, 2, {
-        (i, j): {(a, a ^ (i == j == 2)): HALF for a in (0, 1)} for i in range(3) for j in range(3)
-    })
-
-
 def test_report_takes_one_smith_form_per_context_plus_two(monkeypatch):
     # D0 serves the kernel, H0 and H1's torsion; D1 gives its rank; one
     # projection per context decides all of its sections
@@ -322,7 +308,7 @@ def test_report_takes_one_smith_form_per_context_plus_two(monkeypatch):
 
     monkeypatch.setattr(cohomology, "smith_normal_form", counted)
     monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
-    avn = sk.support_of(_avn_model())
+    avn = sk.support_of(avn_model())
     assert build_coboundary_matrices(avn).triangle_basis  # so D1 is not empty
     for supp in (sk.support_of(pr_box_model()), avn):
         calls.clear()
@@ -336,7 +322,7 @@ def test_report_agrees_with_free_column_oracle():
     models = [
         random_support_model(rng, random_scenario(rng, max_observables=5)) for _ in range(200)
     ]
-    models.append(sk.support_of(_avn_model()))
+    models.append(sk.support_of(avn_model()))
     # uniform mixture of the nine constant assignments and two more
     assignments = [((x, x), (y, y)) for x in range(3) for y in range(3)]
     assignments += [((0, 1), (2, 0)), ((1, 2), (0, 2))]
@@ -346,7 +332,7 @@ def test_report_agrees_with_free_column_oracle():
             t = tables.setdefault((i, j), {})
             for a, b in assignments:
                 t[(a[i], b[j])] = t.get((a[i], b[j]), 0) + F(1, len(assignments))
-    models.append(sk.support_of(_bell(2, 3, tables)))
+    models.append(sk.support_of(bell_model(2, 3, tables)))
     models += [sk.support_of(pr_box_model()), sk.support_of(triangle_anticorrelated_model())]
 
     seen = {"triangles": 0, True: 0, False: 0}
@@ -428,7 +414,7 @@ def test_torsion_matches_sympy():
 def test_invariants_match_kernel_coordinates_on_random_supports():
     rng = random.Random(6060)
     cases = [random_support_model(rng, random_scenario(rng)) for _ in range(20)]
-    avn = _avn_model()
+    avn = avn_model()
     for _ in range(20):
         # Bell 3 x 3 x 2 has triangles: noncontextual supports and their
         # mixtures with the all-versus-nothing model
@@ -436,12 +422,12 @@ def test_invariants_match_kernel_coordinates_on_random_supports():
         cases.append(sk.support_of(glob))
         cases.append(sk.support_of(sk.build_model(avn.scenario, {
             c.members: {
-                s.outcomes: (avn.table(c).get(s, 0) + glob.table(c).get(s, 0)) / 2
+                s: (avn.table(c).get(s, 0) + glob.table(c).get(s, 0)) / 2
                 for s in set(avn.table(c)) | set(glob.table(c))
             }
             for c in avn.scenario.cover
         })))
-    cases += [sk.support_of(_avn_model()), sk.support_of(_star_model(4))]
+    cases += [sk.support_of(avn_model()), sk.support_of(_star_model(4))]
     with_triangles = 0
     for supp in cases:
         mats = build_coboundary_matrices(supp)
@@ -468,7 +454,7 @@ def test_invariants_independent_of_cover_order():
     permuted_sc = sk.build_scenario([(o.id, o.arity) for o in sc.observables], cover)
     tables = {
         permuted_sc.cover[i].members: {
-            s.outcomes: p for s, p in model.table(sc.cover[perm[i]]).items()
+            s: p for s, p in model.table(sc.cover[perm[i]]).items()
         }
         for i in range(4)
     }

@@ -5,7 +5,7 @@ import pytest
 
 import sheafkit as sk
 from sheafkit import dynamics
-from sheafkit.errors import DensityCollapse, NonMonotoneMap, StabilityViolation
+from sheafkit.errors import DensityCollapse, NonMonotoneMap, SizeLimitExceeded, StabilityViolation
 from helpers import reference_evolve, reference_step
 
 
@@ -26,6 +26,15 @@ def test_grid_validation():
     g = sk.Grid(64, 8.0)
     assert g.dx == 0.125
     assert len(g.x) == 64 and abs(g.x[0] + 4.0) < 1e-15
+
+
+def test_grid_points_are_capped():
+    # checked at construction, before any array of that size exists
+    with pytest.raises(SizeLimitExceeded):
+        sk.Grid(2**40, 16.0)
+    with pytest.raises(SizeLimitExceeded):
+        sk.Grid(2 * dynamics.GRID_POINTS_LIMIT, 16.0)
+    assert sk.Grid(dynamics.GRID_POINTS_LIMIT, 16.0).n_points == dynamics.GRID_POINTS_LIMIT
 
 
 def test_lambda_range_enforced():
@@ -173,6 +182,26 @@ def test_evolve_rejects_a_step_count_that_overflows():
     st = dynamics.gaussian_state(g, p, 0.0, 0.5)
     with pytest.raises(ValueError, match="not a finite step count"):
         sk.evolve(st, p, g, t_final=1e308, dt=1e-4)
+
+
+def test_frame_bytes_are_capped_before_the_first_step(monkeypatch):
+    g = make_grid(64, 8.0)
+    p = sk.physical_params(g, lam=1.0)
+    st = dynamics.gaussian_state(g, p, 0.0, 0.5)
+    run = dict(t_final=1e-2, dt=1e-3, record_every=3)
+    # 10 steps, recorded every 3: frames at steps 0, 3, 6, 9 and 10
+    monkeypatch.setattr(dynamics, "FRAME_BYTES_LIMIT", 5 * 64 * 8)
+    assert len(sk.evolve(st, p, g, collect_frames=True, **run)[1]) == 5
+    monkeypatch.setattr(dynamics, "FRAME_BYTES_LIMIT", 5 * 64 * 8 - 1)
+    records, frames = sk.evolve(st, p, g, **run)  # records alone are not capped
+    assert (len(records), frames) == (5, [])
+
+    def no_step(*args):
+        raise AssertionError("evolve stepped before checking the frame limit")
+
+    monkeypatch.setattr(dynamics, "_fields", no_step)
+    with pytest.raises(SizeLimitExceeded, match="frame limit"):
+        sk.evolve(st, p, g, collect_frames=True, **run)
 
 
 def test_step_advances_and_conserves_norm():
@@ -456,6 +485,15 @@ def test_lambda_from_sigma_default_map():
     assert sk.lambda_from_sigma(5.0, p) == 1.0
     with pytest.raises(ValueError):
         sk.lambda_from_sigma(-1.0, p)
+
+
+@pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+@pytest.mark.parametrize("table", [None, [(0.0, 0.0), (1.0, 1.0)]], ids=["default", "table"])
+def test_lambda_from_sigma_rejects_non_finite_sigma(sigma, table):
+    # inf would read as lambda = 1, and nan as a lambda out of range
+    p = sk.physical_params(make_grid())
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        sk.lambda_from_sigma(sigma, p, table)
 
 
 def test_lambda_from_sigma_table():

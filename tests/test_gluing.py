@@ -47,10 +47,8 @@ def test_incidence_columns_count_global_assignments():
 def test_incidence_columns_lex_and_unique():
     sc = triangle_scenario()
     columns = sk.build_incidence(sc).columns
-    assert all(g.members == sc.observable_ids for g in columns)
-    outs = [g.outcomes for g in columns]
-    assert outs == sorted(outs)
-    assert len(set(outs)) == len(outs)
+    assert all(len(g) == len(sc.observable_ids) for g in columns)
+    assert list(columns) == sorted(set(columns))
 
 
 def test_incidence_columns_limit():
@@ -77,9 +75,8 @@ def test_deterministic_model_glues_uniquely():
     verdict = sk.sheaf_check(supp)
     assert not verdict.strongly_contextual
     assert not verdict.logically_contextual
-    assert verdict.global_support_section.as_dict() == {
-        "a1": 0, "a2": 1, "b1": 0, "b2": 1
-    }
+    assert supp.scenario.observable_ids == ("a1", "a2", "b1", "b2")
+    assert verdict.global_support_section == (0, 1, 0, 1)
     assert verdict.global_section_unique is True
 
 
@@ -103,7 +100,7 @@ def test_sheaf_check_matches_brute_force_on_random_models():
         )
         assert verdict.logically_contextual == expected_logical
         if verdict.global_support_section is not None:
-            g = verdict.global_support_section.as_dict()
+            g = dict(zip(sc.observable_ids, verdict.global_support_section))
             assert g in globals_
             assert verdict.global_section_unique == (len(globals_) == 1)
 
@@ -132,7 +129,7 @@ def test_logically_but_not_strongly_contextual_model():
 
     def supp(ctx, forbidden):
         return frozenset(
-            s for s in sk.enumerate_sections(ctx, sc) if s.outcomes != forbidden
+            s for s in sk.enumerate_sections(ctx, sc) if s != forbidden
         )
 
     by_members = {c.members: c for c in sc.cover}
@@ -149,7 +146,7 @@ def test_logically_but_not_strongly_contextual_model():
     assert verdict.global_support_section is not None
     ci, section = verdict.nonextendable_section
     assert sc.cover[ci].members == ("a1", "b1")
-    assert section.outcomes == (0, 0)
+    assert section == (0, 0)
     assert not brute_force_extends(model, ci, section)
 
 
@@ -179,7 +176,7 @@ def test_incidence_one_entry_per_context_per_column():
     for g, rows in zip(inc.columns, inc.column_rows, strict=True):
         # one row per context, in cover order, the section g restricts to
         assert [inc.rows[r] for r in rows] == [
-            (ci, project(g, ctx.members)) for ci, ctx in enumerate(sc.cover)
+            (ci, project(g, sc.observable_ids, ctx)) for ci, ctx in enumerate(sc.cover)
         ]
 
 
@@ -259,7 +256,7 @@ def test_fraction_intermediate_value():
     tables = {}
     for c in sc.cover:
         tables[c.members] = {
-            s.outcomes: v * p + (1 - v) * quarter for s, p in pr.table(c).items()
+            s: v * p + (1 - v) * quarter for s, p in pr.table(c).items()
         }
     mixed = sk.build_model(sc, tables)
     report = sk.contextual_fraction(mixed)
@@ -273,7 +270,7 @@ def test_fraction_at_local_boundary_is_zero():
     sc = pr.scenario
     quarter = F(1, 4)
     tables = {
-        c.members: {s.outcomes: HALF * p + HALF * quarter for s, p in pr.table(c).items()}
+        c.members: {s: HALF * p + HALF * quarter for s, p in pr.table(c).items()}
         for c in sc.cover
     }
     boundary = sk.build_model(sc, tables)
@@ -376,9 +373,7 @@ def test_relabeling_invariance():
     for c in sc.cover:
         table = {}
         for s, p in model.table(c).items():
-            outs = tuple(
-                1 - o if m == "y" else o for m, o in zip(s.members, s.outcomes)
-            )
+            outs = tuple(1 - o if m == "y" else o for m, o in zip(c.members, s))
             table[outs] = p
         flipped_tables[c.members] = table
     flipped = sk.build_model(sc, flipped_tables)
@@ -414,6 +409,14 @@ def test_global_weights_must_be_a_mapping():
         sk.model_from_global_weights(bell_scenario(), [1])
 
 
+@pytest.mark.parametrize("key", [(0, 1, 0), (0, 1, 0, 1, 1), "0101"],
+                         ids=["short", "long", "string"])
+def test_global_weights_need_outcome_tuples_over_every_observable(key):
+    # a key of the wrong length would otherwise project onto the wrong outcomes
+    with pytest.raises(InvalidModel):
+        sk.model_from_global_weights(bell_scenario(), {key: F(1)})
+
+
 def test_fraction_cross_checked_against_scipy():
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = random.Random(808)
@@ -424,7 +427,7 @@ def test_fraction_cross_checked_against_scipy():
     for v in (F(1, 4), F(5, 8), F(9, 10)):
         tables = {
             c.members: {
-                s.outcomes: v * p + (1 - v) * F(1, 4) for s, p in pr.table(c).items()
+                s: v * p + (1 - v) * F(1, 4) for s, p in pr.table(c).items()
             }
             for c in pr.scenario.cover
         }

@@ -37,14 +37,13 @@ from helpers import (
 def test_enumerate_sections_counts_and_order():
     sc = sk.build_scenario([("a", 2), ("b", 2)], [["a", "b"]])
     ctx = sc.cover[0]
-    secs = sk.enumerate_sections(ctx, sc)
-    assert [s.outcomes for s in secs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sk.enumerate_sections(ctx, sc) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     sc3 = sk.build_scenario([("x", 2), ("y", 2), ("z", 3)], [["x", "y", "z"]])
     assert len(sk.enumerate_sections(sc3.cover[0], sc3)) == 12
 
     single = sk.build_scenario([("a", 2)], [["a"]])
-    assert [s.outcomes for s in sk.enumerate_sections(single.cover[0], single)] == [(0,), (1,)]
+    assert sk.enumerate_sections(single.cover[0], single) == [(0,), (1,)]
 
 
 def test_enumerate_sections_size_limit():
@@ -53,49 +52,52 @@ def test_enumerate_sections_size_limit():
         sk.enumerate_sections(sc.cover[0], sc, limit=2**10)
 
 
-def _restrict(section, subcontext):
+def test_section_label():
+    assert sk.section_label((0, 1, 9)) == "019"
+    assert sk.section_label((11, 1)) == "11,1"
+    assert sk.section_label(()) == ""
+
+
+def _restrict(section, domain, subcontext):
     """The restriction of one section, through ``restriction_map``."""
-    (restricted,), positions = sk.restriction_map((section,), subcontext)
+    (restricted,), positions = sk.restriction_map((section,), domain, subcontext)
     assert positions == (0,)
     return restricted
 
 
 def test_restrict_examples():
-    s = sk.LocalSection(("a", "b"), (0, 1))
-    assert _restrict(s, ("a",)).as_dict() == {"a": 0}
-    assert _restrict(s, ("a", "b")) == s
-    s2 = sk.LocalSection(("x", "y"), (1, 0))
-    assert _restrict(s2, ("y",)).as_dict() == {"y": 0}
+    assert _restrict((0, 1), ("a", "b"), ("a",)) == (0,)
+    assert _restrict((0, 1), ("a", "b"), ("b", "a")) == (0, 1)
+    assert _restrict((1, 0), ("x", "y"), ("y",)) == (0,)
 
 
 def test_restrict_rejects_noncontainment():
-    s = sk.LocalSection(("a",), (0,))
     with pytest.raises(NotASubcontext):
-        sk.restriction_map((s,), ("b",))
+        sk.restriction_map(((0,),), ("a",), ("b",))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_restrict_functoriality(data):
     members = tuple(f"m{i}" for i in range(data.draw(st.integers(2, 5))))
-    outcomes = tuple(data.draw(st.integers(0, 3)) for _ in members)
-    section = sk.LocalSection(members, outcomes)
+    section = tuple(data.draw(st.integers(0, 3)) for _ in members)
     mid = tuple(m for m in members if data.draw(st.booleans()))
     small = tuple(m for m in mid if data.draw(st.booleans()))
-    via = _restrict(_restrict(section, mid), small)
-    direct = _restrict(section, small)
+    via = _restrict(_restrict(section, members, mid), mid, small)
+    direct = _restrict(section, members, small)
     assert via == direct
-    assert _restrict(section, members) == section
+    assert _restrict(section, members, members) == section
 
 
-def _check_restriction_map(sections, subcontext):
-    restricted, positions = sk.restriction_map(sections, subcontext)
+def _check_restriction_map(sections, domain, subcontext):
+    restricted, positions = sk.restriction_map(sections, domain, subcontext)
     assert len(positions) == len(sections)
-    # distinct, in lexicographic outcome order, and each one some section's
-    assert list(restricted) == sorted(set(restricted), key=lambda s: s.outcomes)
+    # distinct, in lexicographic order, and each one some section's
+    assert list(restricted) == sorted(set(restricted))
     assert set(positions) == set(range(len(restricted)))
     for section, r in zip(sections, positions, strict=True):
-        assert restricted[r] == _restrict(section, subcontext) == project(section, subcontext)
+        assert (restricted[r] == _restrict(section, domain, subcontext)
+                == project(section, domain, subcontext))
 
 
 def test_restriction_map_agrees_with_restrict_section_by_section():
@@ -111,16 +113,22 @@ def test_restriction_map_agrees_with_restrict_section_by_section():
             rng.shuffle(sections)
             # a random subset, listed in random (so not scenario) order
             subcontext = rng.sample(ctx.members, rng.randint(0, len(ctx)))
-            _check_restriction_map(sections, subcontext)
-            _check_restriction_map(sections, sc.context(subcontext) if subcontext else ())
+            _check_restriction_map(sections, ctx, subcontext)
+            _check_restriction_map(sections, ctx, sc.context(subcontext) if subcontext else ())
 
 
 def test_restriction_map_pools_two_contexts_as_an_edge_sees_them():
+    # each context's sections are restricted from that context, then the
+    # restrictions are pooled into the overlap's basis by a map onto itself
     supp = sk.support_of(pr_box_model())
     a1b2, a2b2 = supp.scenario.cover[1], supp.scenario.cover[3]
     overlap = a1b2.intersect(a2b2)
-    restricted, positions = sk.restriction_map(supp.support(a1b2) + supp.support(a2b2), overlap)
-    assert restricted == (sk.LocalSection(("b2",), (0,)), sk.LocalSection(("b2",), (1,)))
+    pooled = []
+    for ctx in (a1b2, a2b2):
+        restricted, positions = sk.restriction_map(supp.support(ctx), ctx, overlap)
+        pooled += [restricted[r] for r in positions]
+    restricted, positions = sk.restriction_map(pooled, overlap, overlap)
+    assert restricted == ((0,), (1,))
     assert positions == (0, 1, 1, 0)  # 00, 11 | 01, 10
 
     sc = bell_scenario(2, 3)
@@ -128,18 +136,16 @@ def test_restriction_map_pools_two_contexts_as_an_edge_sees_them():
         for cb in sc.cover:
             overlap = ca.intersect(cb)
             if ca != cb and overlap.members:
-                sections = sk.enumerate_sections(ca, sc) + sk.enumerate_sections(cb, sc)
-                _check_restriction_map(sections, overlap)
+                _check_restriction_map(sk.enumerate_sections(ca, sc), ca, overlap)
+                _check_restriction_map(sk.enumerate_sections(cb, sc), cb, overlap)
 
 
 def test_restriction_map_rejects_noncontainment():
-    ab = sk.LocalSection(("a", "b"), (0, 1))
-    bc = sk.LocalSection(("b", "c"), (1, 0))
-    assert sk.restriction_map([ab, bc], ("b",)) == ((sk.LocalSection(("b",), (1,)),), (0, 0))
+    assert sk.restriction_map([(0, 1), (1, 1)], ("a", "b"), ("b",)) == (((1,),), (0, 0))
     with pytest.raises(NotASubcontext):
-        sk.restriction_map([ab, bc], ("b", "c"))
+        sk.restriction_map([(0, 1)], ("a", "b"), ("b", "c"))
     with pytest.raises(NotASubcontext):
-        sk.restriction_map([ab], ("a", "z"))
+        sk.restriction_map([(0, 1)], ("a", "b"), ("a", "z"))
 
 
 # --- model construction ------------------------------------------------------
@@ -182,6 +188,15 @@ def test_build_model_rejects_out_of_range_outcome():
         sk.build_model(sc, {("a",): {(2,): Fraction(1)}})
 
 
+@pytest.mark.parametrize("key", [(0.9, 1), (True, 1), (0, 1, 0), (0,), "01"],
+                         ids=["float", "bool", "long", "short", "string"])
+def test_build_model_rejects_keys_that_are_not_integer_sections(key):
+    # a float or bool outcome is not read as the integer it rounds to
+    sc = sk.build_scenario([("a", 2), ("b", 2)], [["a", "b"]])
+    with pytest.raises(InvalidModel):
+        sk.build_model(sc, {("a", "b"): {key: Fraction(1)}})
+
+
 def test_tables_are_dense():
     model = pr_box_model()
     for ctx in model.scenario.cover:
@@ -204,30 +219,28 @@ def test_marginalize_uniform():
     model = sk.build_model(
         sc, {("a", "b"): {o: Fraction(1, 4) for o in [(0, 0), (0, 1), (1, 0), (1, 1)]}}
     )
-    marg = sk.marginalize(model.table(sc.cover[0]), ("a",))
+    marg = sk.marginalize(model.table(sc.cover[0]), sc.cover[0], ("a",))
     assert all(p == HALF for p in marg.values())
 
 
 def test_marginalize_point_mass():
     sc = sk.build_scenario([("a", 2), ("b", 2)], [["a", "b"]])
     model = sk.build_model(sc, {("a", "b"): {(0, 1): Fraction(1)}})
-    marg = sk.marginalize(model.table(sc.cover[0]), ("b",))
-    assert marg[sk.LocalSection(("b",), (1,))] == 1
+    marg = sk.marginalize(model.table(sc.cover[0]), sc.cover[0], ("b",))
+    assert marg == {(0,): 0, (1,): 1}
 
 
 def test_marginalize_pr_box_context():
     model = pr_box_model()
     ctx = model.scenario.cover[0]
-    marg = sk.marginalize(model.table(ctx), ("a1",))
-    assert marg[sk.LocalSection(("a1",), (0,))] == HALF
-    assert marg[sk.LocalSection(("a1",), (1,))] == HALF
-    assert sum(marg.values()) == 1
+    marg = sk.marginalize(model.table(ctx), ctx, ("a1",))
+    assert marg == {(0,): HALF, (1,): HALF}
 
 
 def test_marginalize_rejects_noncontainment():
     model = pr_box_model()
     with pytest.raises(NotASubcontext):
-        sk.marginalize(model.table(model.scenario.cover[0]), ("a2",))
+        sk.marginalize(model.table(model.scenario.cover[0]), model.scenario.cover[0], ("a2",))
 
 
 def test_marginalize_composes():
@@ -235,17 +248,15 @@ def test_marginalize_composes():
     rng = random.Random(7)
     model = random_global_model(rng, sc)
     table = model.table(sc.cover[0])
-    two_step = sk.marginalize(
-        {s: p for s, p in sk.marginalize(table, ("a", "b")).items()}, ("a",)
-    )
-    direct = sk.marginalize(table, ("a",))
+    two_step = sk.marginalize(sk.marginalize(table, sc.cover[0], ("a", "b")), ("a", "b"), ("a",))
+    direct = sk.marginalize(table, sc.cover[0], ("a",))
     assert two_step == direct
 
 
-def _plain_marginal(table, subcontext):
+def _plain_marginal(table, domain, subcontext):
     out = {}
     for section, p in table.items():
-        sub = project(section, subcontext)
+        sub = project(section, domain, subcontext)
         out[sub] = out.get(sub, 0) + p
     return out
 
@@ -259,8 +270,8 @@ def test_marginals_and_global_projections_match_plain_sums_on_fixtures(mode):
         for ctx in sc.cover:
             for other in sc.cover:
                 overlap = ctx.intersect(other)
-                assert sk.marginalize(model.table(ctx), overlap) == _plain_marginal(
-                    model.table(ctx), overlap
+                assert sk.marginalize(model.table(ctx), ctx, overlap) == _plain_marginal(
+                    model.table(ctx), ctx, overlap
                 )
         columns = sk.build_incidence(sc).columns
         raw = [rng.randint(0, 3) for _ in columns]
@@ -271,7 +282,10 @@ def test_marginals_and_global_projections_match_plain_sums_on_fixtures(mode):
             weights = [w / sum(raw) for w in raw]
         # float sums keep their order, so the tables match bit for bit
         expected = sk.build_model(
-            sc, {ctx: _plain_marginal(dict(zip(columns, weights)), ctx) for ctx in sc.cover}, mode
+            sc,
+            {ctx: _plain_marginal(dict(zip(columns, weights)), sc.observable_ids, ctx)
+             for ctx in sc.cover},
+            mode,
         )
         assert sk.model_from_global_weights(sc, dict(zip(columns, weights)), mode) == expected
 
@@ -338,7 +352,7 @@ def test_support_model_orders_sections_lexicographically():
     supp = sk.SupportModel(sc, {c: set(sk.enumerate_sections(c, sc)) for c in sc.cover})
     for ctx in sc.cover:
         assert isinstance(supp.support(ctx), tuple)
-        assert [s.outcomes for s in supp.support(ctx)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert supp.support(ctx) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_support_threshold_and_empty_support():
@@ -346,7 +360,7 @@ def test_support_threshold_and_empty_support():
     model = sk.build_model(sc, {("a",): {(0,): HALF, (1,): HALF}})
     assert len(sk.support_of(model).support(sc.cover[0])) == 2
     floats = sk.build_model(sc, {("a",): {(0,): 1.0, (1,): 1e-13}}, "float")
-    assert [s.outcomes for s in sk.support_of(floats).support(sc.cover[0])] == [(0,)]
+    assert sk.support_of(floats).support(sc.cover[0]) == ((0,),)
     # a hand-built model skips build_model's validation, so its tables may be all zero
     zeros = {s: Fraction(0) for s in sk.enumerate_sections(sc.cover[0], sc)}
     with pytest.raises(EmptySupport):
@@ -392,8 +406,7 @@ def test_model_key_order_follows_declared_context(tmp_path):
     }
     model = model_from_dict(data)
     ctx = model.scenario.cover[0]
-    point = sk.LocalSection(("a", "b"), (1, 0))  # b=0, a=1
-    assert model.table(ctx)[point] == 1
+    assert model.table(ctx)[1, 0] == 1  # a=1, b=0
 
 
 def test_model_parser_rejections():
@@ -442,4 +455,4 @@ def test_comma_separated_keys_for_wide_arity():
     }
     model = model_from_dict(data)
     ctx = model.scenario.cover[0]
-    assert model.table(ctx)[sk.LocalSection(("a", "b"), (11, 1))] == 1
+    assert model.table(ctx)[11, 1] == 1

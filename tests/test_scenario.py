@@ -58,6 +58,14 @@ def test_arity_below_two_rejected():
         sk.Observable("a", 1)
 
 
+@pytest.mark.parametrize("arity", [2.5, 2.0, True, "2"])
+def test_non_integer_arity_rejected(arity):
+    with pytest.raises(InvalidScenario):
+        sk.Observable("a", arity)
+    with pytest.raises(InvalidScenario):
+        sk.build_scenario([("a", arity), ("b", 2)], [["a", "b"]])
+
+
 def test_context_canonical_order():
     sc = bell_scenario()
     assert sc.context(["b1", "a1"]).members == ("a1", "b1")
@@ -65,17 +73,31 @@ def test_context_canonical_order():
 
 def nerve_cells(sc):
     """(number of vertices, edge contexts, triangle contexts, D1) of the
-    nerve, each cell's context read off its sections' members in the
-    coboundary bases of the full support model."""
+    nerve of the full support model.  A cell's vertices are read off the
+    nonzero entries of its rows in D0 (and D1, through the edges), and its
+    context is their intersection; its sections have that many outcomes."""
     supports = {ctx: sk.enumerate_sections(ctx, sc) for ctx in sc.cover}
     mats = sk.build_coboundary_matrices(sk.SupportModel(sc, supports))
 
-    def contexts(basis):
-        members = {cell: s.members for cell, s in basis}
-        return [members[cell] for cell in sorted(members)]
+    def faces(basis, d, face_basis):
+        cells = {}
+        for (cell, _), row in zip(basis, d.a, strict=True):
+            cells.setdefault(cell, set()).update(face_basis[c][0] for c, v in enumerate(row) if v)
+        return [cells[cell] for cell in sorted(cells)]
+
+    edge_vertices = faces(mats.edge_basis, mats.d0, mats.vertex_basis)
+    triangle_vertices = [set().union(*(edge_vertices[e] for e in edges))
+                         for edges in faces(mats.triangle_basis, mats.d1, mats.edge_basis)]
+
+    def contexts(vertex_sets, basis):
+        members = [tuple(m for m in sc.observable_ids if all(m in sc.cover[v] for v in vs))
+                   for vs in vertex_sets]
+        assert all(len(s) == len(members[cell]) for cell, s in basis)
+        return members
 
     vertices = len({vi for vi, _ in mats.vertex_basis})
-    return vertices, contexts(mats.edge_basis), contexts(mats.triangle_basis), mats
+    return (vertices, contexts(edge_vertices, mats.edge_basis),
+            contexts(triangle_vertices, mats.triangle_basis), mats)
 
 
 def test_nerve_triangle():
