@@ -25,7 +25,7 @@ _EXPORTS = {
         """),
         ("ctxlogic", """
             Atom And Classification Implies Not Or Proposition SevenValue ThreeValue
-            classify eval_in_context parse_proposition seven_value_of
+            classify eval_in_context parse_proposition proposition_to_str seven_value_of
         """),
         ("dynamics", """
             Grid LambdaState Observables PhysicalParams compute_observables evolve
@@ -45,7 +45,8 @@ _EXPORTS = {
         """),
         ("presheaf", """
             CompatibilityViolation EmpiricalModel SupportModel build_model check_compatibility
-            enumerate_sections marginalize restriction_map section_label support_of
+            enumerate_sections marginalize model_from_dict restriction_map section_label
+            support_of
         """),
         ("scenario", "Context MeasurementScenario Observable build_scenario load_scenario"),
     )

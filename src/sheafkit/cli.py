@@ -42,31 +42,24 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .dynamics import Grid, LambdaState
-    from .presheaf import CompatibilityViolation, EmpiricalModel
+    from .presheaf import EmpiricalModel
 
-#: layer entry point -> its module.  So that each subcommand imports only the
-#: layers it runs, ``__getattr__`` loads the module through the package on
-#: first access and binds the name here.  The subcommands call each name as
-#: ``_cli.name``, so a wrapper set on this module's attribute applies.
-_ENTRY_POINTS = {
-    "model_from_dict": "presheaf",
-    "check_compatibility": "presheaf",
-    "support_of": "presheaf",
-    "section_label": "presheaf",
-    "classify_contextuality": "gluing",
-    "contextual_fraction": "gluing",
-    "obstruction_report": "cohomology",
-    "parse_proposition": "ctxlogic",
-    "proposition_to_str": "ctxlogic",
-    "seven_value_of": "ctxlogic",
-}
+#: The layer entry points the subcommands call.  So that each subcommand
+#: imports only the layers it runs, ``__getattr__`` gets a name from the
+#: package, whose export table loads its layer, on first access and binds it
+#: here.  The subcommands call each name as ``_cli.name``, so a wrapper set on
+#: this module's attribute applies.
+_ENTRY_POINTS = frozenset({
+    "model_from_dict", "check_compatibility", "support_of", "section_label",
+    "classify_contextuality", "contextual_fraction", "obstruction_report",
+    "parse_proposition", "proposition_to_str", "seven_value_of",
+})
 
 
 def __getattr__(name: str):
     if name not in _ENTRY_POINTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layer = getattr(sys.modules[__package__], _ENTRY_POINTS[name])
-    value = globals()[name] = getattr(layer, name)
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
@@ -95,14 +88,18 @@ FRAME_VERSION = 1
 
 
 def resolve_model_arg(arg: str) -> tuple[bytes, str, str | None]:
-    """Return (file bytes, display path, bundled fixture name or None)."""
+    """Return (file bytes, display path, bundled fixture name or None).
+
+    An existing path is read as a file; otherwise the argument must be
+    exactly a fixture name or alias.
+    """
     path = Path(arg)
     if path.exists():
         name = None
         if path.resolve().parent == _fixture_dir_path():
             name = path.stem
         return path.read_bytes(), str(path), name
-    name = FIXTURE_ALIASES.get(path.stem, path.stem)
+    name = FIXTURE_ALIASES.get(arg, arg)
     if name in FIXTURE_NAMES:
         resource = files("sheafkit") / "fixtures" / f"{name}.json"
         return resource.read_bytes(), f"fixtures/{name}.json", name
@@ -128,69 +125,65 @@ def load_model_arg(arg: str, mode: str | None) -> tuple[EmpiricalModel, dict]:
     return model, meta
 
 
-def _jsonable(value):
+def _fraction_str(value: object) -> str:
+    """JSON for the one non-JSON type a report holds: a Fraction as "p/q"."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
 
 
-def make_report(args: argparse.Namespace, subcommand: str, inputs: dict, results: dict,
-                started: float) -> dict:
-    report = {
-        "tool": "sheafkit",
-        "version": __version__,
-        "subcommand": subcommand,
-        "seed": args.seed,
-        "inputs": inputs,
-        "results": _jsonable(results),
-    }
-    if not args.no_timings:
-        report["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
-    return report
-
-
-def emit(args: argparse.Namespace, report: dict, text: str | None = None) -> None:
-    """Write the report in the selected format to stdout or --output."""
-    if args.format == "json" or text is None:
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        payload = text
+def emit(args: argparse.Namespace, inputs: dict, results: dict, text: str,
+         started: float) -> None:
+    """Write ``text``, or with --format json the report, to stdout or --output."""
+    if args.format == "json":
+        report = {
+            "tool": "sheafkit",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "seed": args.seed,
+            "inputs": inputs,
+            "results": results,
+        }
+        if not args.no_timings:
+            report["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
+        text = json.dumps(report, sort_keys=True, indent=2, default=_fraction_str) + "\n"
     if args.output:
-        Path(args.output).write_text(payload)
+        Path(args.output).write_text(text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
 
 
-def emit_incompatible(args: argparse.Namespace, subcommand: str, meta: dict,
-                      violations: tuple[CompatibilityViolation, ...], started: float) -> int:
-    """Report each pair of contexts whose marginals disagree; invalid input."""
-    rows = [
-        {"pair": list(v.pair), "overlap": v.overlap.label(), "discrepancy": v.discrepancy}
-        for v in violations
-    ]
-    report = make_report(args, subcommand, {"model": meta},
-                         {"error": "incompatible model", "violations": rows}, started)
-    emit(args, report, text=f"incompatible model: {len(rows)} violation(s)\n")
-    return EXIT_INVALID
+def run_model_command(args: argparse.Namespace) -> int:
+    """Load the model, run the subcommand's analysis on it and emit the report.
 
-
-# ---------------------------------------------------------------------------
-# Subcommands.
-
-
-def cmd_check(args: argparse.Namespace) -> int:
+    The analysis returns (results, text, exit code).  When it raises
+    IncompatibleModel, the report lists each pair of contexts whose marginals
+    disagree, and the input is invalid.
+    """
     started = time.perf_counter()
     model, meta = load_model_arg(args.model, args.mode)
     try:
-        verdict = _cli.classify_contextuality(model, node_budget=args.budget_nodes,
-                                              limit=args.budget_globals,
-                                              budget=args.budget_pivots)
+        results, text, code = args.analyze(args, model)
     except IncompatibleModel as exc:
-        return emit_incompatible(args, "check", meta, exc.violations, started)
+        rows = [
+            {"pair": list(v.pair), "overlap": v.overlap.label(), "discrepancy": v.discrepancy}
+            for v in exc.violations
+        ]
+        results = {"error": "incompatible model", "violations": rows}
+        text = f"incompatible model: {len(rows)} violation(s)\n"
+        code = EXIT_INVALID
+    emit(args, {"model": meta}, results, text, started)
+    return code
+
+
+# ---------------------------------------------------------------------------
+# Model analyses: each maps (args, model) to (results, text, exit code).
+
+
+def cmd_check(args: argparse.Namespace, model: EmpiricalModel) -> tuple[dict, str, int]:
+    verdict = _cli.classify_contextuality(model, node_budget=args.budget_nodes,
+                                          limit=args.budget_globals,
+                                          budget=args.budget_pivots)
     results = {
         "compatible": True,
         "noncontextual": verdict.noncontextual,
@@ -213,23 +206,19 @@ def cmd_check(args: argparse.Namespace) -> int:
             ),
         },
     }
-    report = make_report(args, "check", {"model": meta}, results, started)
     lines = [
         "compatible:           yes",
         f"noncontextual:        {'yes' if verdict.noncontextual else 'no'}",
         f"logically contextual: {'yes' if verdict.logically_contextual else 'no'}",
         f"strongly contextual:  {'yes' if verdict.strongly_contextual else 'no'}",
     ]
-    emit(args, report, text="\n".join(lines) + "\n")
-    return EXIT_OK if verdict.noncontextual else EXIT_CONTEXTUAL
+    return results, "\n".join(lines) + "\n", EXIT_OK if verdict.noncontextual else EXIT_CONTEXTUAL
 
 
-def cmd_fraction(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    model, meta = load_model_arg(args.model, args.mode)
+def cmd_fraction(args: argparse.Namespace, model: EmpiricalModel) -> tuple[dict, str, int]:
     violations = _cli.check_compatibility(model)
     if violations:
-        return emit_incompatible(args, "fraction", meta, violations, started)
+        raise IncompatibleModel("incompatible model", violations)
     fr = _cli.contextual_fraction(model, limit=args.budget_globals, budget=args.budget_pivots)
     weights = {
         _cli.section_label(g): w
@@ -241,14 +230,11 @@ def cmd_fraction(args: argparse.Namespace) -> int:
         "contextual_fraction": fr.contextual_fraction,
         "weights": weights,
     }
-    report = make_report(args, "fraction", {"model": meta}, results, started)
-    emit(args, report, text=f"contextual fraction: {fr.contextual_fraction}\n")
-    return EXIT_OK if fr.noncontextual else EXIT_CONTEXTUAL
+    text = f"contextual fraction: {fr.contextual_fraction}\n"
+    return results, text, EXIT_OK if fr.noncontextual else EXIT_CONTEXTUAL
 
 
-def cmd_cohomology(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    model, meta = load_model_arg(args.model, args.mode)
+def cmd_cohomology(args: argparse.Namespace, model: EmpiricalModel) -> tuple[dict, str, int]:
     support = _cli.support_of(model)
     rep = _cli.obstruction_report(support, matrix_limit=args.budget_matrix)
     cover = model.scenario.cover
@@ -268,21 +254,16 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             "h1_torsion": list(rep.invariants.h1_torsion),
         },
     }
-    report = make_report(args, "cohomology", {"model": meta}, results, started)
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["context", "section", "vanishes"])
     for row in rows:
         writer.writerow([row["context"], row["section"], str(row["vanishes"]).lower()])
     text = buf.getvalue() + json.dumps(results["invariants"], sort_keys=True) + "\n"
-    emit(args, report, text=text)
-    return EXIT_CONTEXTUAL if rep.any_nonvanishing else EXIT_OK
+    return results, text, EXIT_CONTEXTUAL if rep.any_nonvanishing else EXIT_OK
 
 
-def cmd_logic(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    model, meta = load_model_arg(args.model, args.mode)
+def cmd_logic(args: argparse.Namespace, model: EmpiricalModel) -> tuple[dict, str, int]:
     prop = _cli.parse_proposition(args.prop)
     support = _cli.support_of(model)
     classification, prof = _cli.seven_value_of(support, prop)
@@ -296,11 +277,13 @@ def cmd_logic(args: argparse.Namespace) -> int:
             for value, ctxs in classification.witnesses.items()
         },
     }
-    report = make_report(args, "logic", {"model": meta}, results, started)
     profile_text = "  ".join(f"{c.label()}:{v.name}" for c, v in prof.items())
     text = f"mode {classification.value.mode} ({classification.value.name})\n{profile_text}\n"
-    emit(args, report, text=text)
-    return EXIT_OK
+    return results, text, EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# evolve and fixtures list.
 
 
 def _parse_initial(spec: str, grid: Grid, params) -> LambdaState:
@@ -433,8 +416,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             for r in records
         ],
     }
-    report = make_report(args, "evolve", {}, results, started)
-    emit(args, report, text=csv_text)
+    emit(args, {}, results, csv_text, started)
     return EXIT_OK
 
 
@@ -462,10 +444,10 @@ def _add_report_options(parser: argparse.ArgumentParser, formats: tuple[str, str
                         help="omit wall-clock timings (byte-identical reruns)")
 
 
-def _add_model_command(sub, name: str, func, summary: str, formats: tuple[str, str],
+def _add_model_command(sub, name: str, analyze, summary: str, formats: tuple[str, str],
                        **budgets: int) -> argparse.ArgumentParser:
-    """A subcommand that reads one model; ``budgets`` maps each --budget-* it
-    consults to its default."""
+    """A subcommand that runs ``analyze`` on one model; ``budgets`` maps each
+    --budget-* it consults to its default."""
     parser = sub.add_parser(name, help=summary)
     parser.add_argument("model")
     parser.add_argument("--mode", choices=["rational", "float"], default=None,
@@ -473,7 +455,7 @@ def _add_model_command(sub, name: str, func, summary: str, formats: tuple[str, s
     _add_report_options(parser, formats)
     for budget, default in budgets.items():
         parser.add_argument(f"--budget-{budget}", type=int, default=default)
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=run_model_command, analyze=analyze)
     return parser
 
 

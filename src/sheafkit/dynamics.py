@@ -61,6 +61,8 @@ COLLAPSE_FRACTION = 0.10
 GRID_POINTS_LIMIT = 2**22
 #: Most bytes of density frames one run may collect.
 FRAME_BYTES_LIMIT = 2**30
+#: Most observable records one run may keep (about 300 bytes each).
+RECORDS_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         n = self.n_points
+        if type(n) is not int:  # bool is an int subclass
+            raise ValueError(f"n_points must be an integer, got {n!r}")
         if n > GRID_POINTS_LIMIT:
             raise SizeLimitExceeded(f"n_points {n} exceeds the limit of {GRID_POINTS_LIMIT}")
         if n < 64 or n & (n - 1):
@@ -379,9 +383,10 @@ def evolve(
     carried as its spectrum, so a step costs one FFT free and three with a
     potential.  The collapse guard checks the density after every step.
     Returns the records and, when ``collect_frames``, the density frames
-    alongside.  A run of more than ``step_budget`` steps, or whose frames
-    would take more than ``FRAME_BYTES_LIMIT`` bytes, raises
-    SizeLimitExceeded before the first step.
+    alongside.  A run of more than ``step_budget`` steps, of more than
+    ``RECORDS_LIMIT`` records, or whose frames would take more than
+    ``FRAME_BYTES_LIMIT`` bytes, raises SizeLimitExceeded before the first
+    step.
     """
     check_timestep(dt, grid, params)
     _check_state(initial, grid)
@@ -402,8 +407,12 @@ def evolve(
             f"t_final / dt = {t_final} / {dt} is {ratio:.3g} steps, "
             f"more than the step budget of {step_budget}"
         )
-    # the initial frame, then one per record_every steps and one at the end
-    n_frames = 1 + -(-n_steps // record_every) if collect_frames else 0
+    # the initial record, then one per record_every steps and one at the end;
+    # a frame goes with each record
+    n_records = 1 + -(-n_steps // record_every)
+    if n_records > RECORDS_LIMIT:
+        raise SizeLimitExceeded(f"{n_records} records exceed the record limit of {RECORDS_LIMIT}")
+    n_frames = n_records if collect_frames else 0
     if n_frames * grid.n_points * 8 > FRAME_BYTES_LIMIT:
         raise SizeLimitExceeded(f"{n_frames} frames of {grid.n_points} points exceed the "
                                 f"frame limit of {FRAME_BYTES_LIMIT} bytes")
@@ -493,6 +502,9 @@ def lambda_from_sigma(
     if map_spec is None:
         return min(max(params.mass * sigma / params.hbar, 0.0), 1.0)
     points = [(float(s), float(l)) for s, l in map_spec]
+    for point in points:
+        if not all(map(math.isfinite, point)):
+            raise NonMonotoneMap(f"lambda map entry {point} is not finite")
     if len(points) < 2:
         raise NonMonotoneMap("a lambda map needs at least two points")
     sigmas = [p[0] for p in points]

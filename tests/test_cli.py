@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import re
@@ -6,6 +7,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -85,13 +88,42 @@ def test_subcommands_call_every_layer_entry_point_through_the_module(monkeypatch
     for argv in (["check", "prbox"], ["fraction", "prbox"], ["cohomology", "prbox"],
                  ["logic", "prbox", "--prop", "a1=0"]):
         run_cli(argv + ["--no-timings"], capsys)
-    assert called == cli._ENTRY_POINTS.keys()
+    assert called == cli._ENTRY_POINTS
+
+
+def test_entry_points_resolve_through_the_package_export_table():
+    # one name table: the package's _EXPORTS says which layer defines each name
+    assert isinstance(cli._ENTRY_POINTS, frozenset)
+    assert cli._ENTRY_POINTS <= sk._EXPORTS.keys()
+    for name in cli._ENTRY_POINTS:
+        assert getattr(cli, name) is getattr(sk, name)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    pairs = [
+        (key.value, value.value)
+        for node in ast.walk(tree) if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and isinstance(value, ast.Constant)
+    ]
+    assert [(k, v) for k, v in pairs if k in cli._ENTRY_POINTS and v in sk._LAYERS] == []
 
 
 def test_check_missing_file(capsys):
     code, _, err = run_cli(["check", "/does/not/exist.json"], capsys)
     assert code == cli.EXIT_INVALID
     assert "error" in err
+
+
+def test_model_argument_names_a_fixture_only_by_its_exact_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # an empty directory
+    for arg in ("/no/such/dir/prbox.json", "prbox.json", "triangle.json"):
+        code, out, err = run_cli(["check", arg, "--format", "text"], capsys)
+        assert code == cli.EXIT_INVALID and out == ""
+        assert err == f"error: no such model file or bundled fixture: {arg}\n"
+    for arg, name in (("triangle", "triangle_anticorrelated"),
+                      (str(files("sheafkit") / "fixtures" / "prbox.json"), "prbox")):
+        code, report, _ = run_json(["check", arg, "--no-timings"], capsys)
+        assert code == cli.EXIT_CONTEXTUAL
+        assert report["inputs"]["model"]["fixture"] == name
 
 
 _SCENARIO = {"observables": [{"id": "a1", "arity": 2}, {"id": "b1", "arity": 2}],
@@ -154,6 +186,66 @@ def test_malformed_input_exits_invalid(tmp_path, capsys, data, argv):
     assert code == cli.EXIT_INVALID
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+def _edit(base, **changes):
+    """``base`` with each change applied; a change to None drops the key."""
+    data = {**base, **changes}
+    return {k: v for k, v in data.items() if v is not None}
+
+
+_TABLE = {"context": ["a1", "b1"], "probs": {"00": "1"}}
+_MODEL = {"scenario": _SCENARIO, "tables": [_TABLE]}
+
+#: case -> (a model file for ``check`` or the options of an ``evolve`` run, the error it gives)
+OUTSIDE_INPUT = {
+    "outcome-not-integer": (_edit(_MODEL, tables=[_edit(_TABLE, probs={"0x": "1"})]),
+                            "non-integer outcome"),
+    "no-scenario": (_edit(_MODEL, scenario=None), "needs 'scenario' and 'tables'"),
+    "no-tables": (_edit(_MODEL, tables=None), "needs 'scenario' and 'tables'"),
+    "mode-exact": (_edit(_MODEL, mode="exact"), "unknown mode"),
+    "tables-not-list": (_edit(_MODEL, tables=_TABLE), "'tables' must be a list"),
+    "table-not-object": (_edit(_MODEL, tables=[["a1", "b1"]]), "table must be an object"),
+    "table-no-context": (_edit(_MODEL, tables=[_edit(_TABLE, context=None)]),
+                         "needs 'context' and 'probs'"),
+    "table-no-probs": (_edit(_MODEL, tables=[_edit(_TABLE, probs=None)]),
+                       "needs 'context' and 'probs'"),
+    "probs-not-object": (_edit(_MODEL, tables=[_edit(_TABLE, probs=[["00", "1"]])]),
+                         "'probs' must be an object"),
+    "scenario-not-object": (_edit(_MODEL, scenario=["a1", "b1"]), "scenario must be a JSON object"),
+    "no-observables": (_edit(_MODEL, scenario=_edit(_SCENARIO, observables=None)),
+                       "missing key 'observables'"),
+    "no-cover": (_edit(_MODEL, scenario=_edit(_SCENARIO, cover=None)), "missing key 'cover'"),
+    "observables-not-list": (_edit(_MODEL, scenario=_edit(_SCENARIO, observables={"a1": 2})),
+                             "must be lists"),
+    "cover-not-list": (_edit(_MODEL, scenario=_edit(_SCENARIO, cover="a1 b1")), "must be lists"),
+    "observable-not-object": (_edit(_MODEL, scenario=_edit(_SCENARIO, observables=["a1", "b1"])),
+                              "observable must be an object"),
+    "cover-context-not-list": (_edit(_MODEL, scenario=_edit(_SCENARIO, cover=["a1", "b1"])),
+                               "cover context must be a list"),
+    "cover-context-not-strings": (_edit(_MODEL, scenario=_edit(_SCENARIO, cover=[["a1", 1]])),
+                                  "cover context must be a list"),
+    "cover-context-empty": (_edit(_MODEL, scenario=_edit(_SCENARIO, cover=[["a1", "b1"], []])),
+                            "at least one observable"),
+    "scenario-file-not-json": (_edit(_MODEL, scenario="not_json.json"), "invalid JSON"),
+    "evolve-record-every-0": (["--record-every", "0"], "record_every"),
+    "evolve-potential-unknown": (["--potential", "nonsense"], "bad --potential"),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTSIDE_INPUT))
+def test_outside_input_exits_invalid_with_one_error_line(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    spec, error = OUTSIDE_INPUT[case]
+    if isinstance(spec, dict):
+        (tmp_path / "not_json.json").write_text("{\"observables\": [")
+        (tmp_path / "model.json").write_text(json.dumps(spec))
+        argv = ["check", "model.json"]
+    else:
+        argv = ["evolve", "--lambda", "1", "--t-final", "0.001", *spec]
+    code, out, err = run_cli(argv + ["--no-timings"], capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and error in err
 
 
 def _write_model(tmp_path, mode, probs):
@@ -498,6 +590,22 @@ def test_evolve_grid_and_frame_limits_exit_invalid(tmp_path, monkeypatch, capsys
     )
     assert code == cli.EXIT_INVALID and out == "" and "frame limit" in err
     assert not dump.exists()
+    # the same run keeps three records
+    monkeypatch.setattr(dynamics, "RECORDS_LIMIT", 2)
+    code, out, err = run_cli(["evolve", "--lambda", "1", "--t-final", "0.02", "--dt", "1e-4"],
+                             capsys)
+    assert code == cli.EXIT_INVALID and out == "" and "record limit" in err
+
+
+@pytest.mark.parametrize("table", ["[[0, 0], [Infinity, 1]]", "[[0, 0], [NaN, 1]]",
+                                   "[[0, 0], [1, NaN]]", "[[-Infinity, 0], [1, 1]]"])
+def test_evolve_map_entries_must_be_finite(tmp_path, capsys, table):
+    path = tmp_path / "map.json"
+    path.write_text(table)
+    code, out, err = run_cli(["evolve", "--sigma", "0.5", "--map", str(path), "--t-final",
+                              "0.001"], capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err.startswith("error: lambda map entry") and err.endswith("is not finite\n")
 
 
 def test_evolve_harmonic_potential_and_window(capsys):
@@ -882,7 +990,7 @@ def test_every_export_loads_on_first_access():
         "except AttributeError:\n"
         "    print(len(sheafkit._EXPORTS))\n"
     )
-    assert out.strip() == "76"
+    assert out.strip() == "78"
 
 
 def test_timings_present_by_default(capsys):

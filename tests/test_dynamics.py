@@ -37,6 +37,12 @@ def test_grid_points_are_capped():
     assert sk.Grid(dynamics.GRID_POINTS_LIMIT, 16.0).n_points == dynamics.GRID_POINTS_LIMIT
 
 
+@pytest.mark.parametrize("n", [64.0, "64", True], ids=["float", "str", "bool"])
+def test_grid_points_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        sk.Grid(n, 8.0)
+
+
 def test_lambda_range_enforced():
     g = make_grid(64, 8.0)
     with pytest.raises(ValueError):
@@ -202,6 +208,24 @@ def test_frame_bytes_are_capped_before_the_first_step(monkeypatch):
     monkeypatch.setattr(dynamics, "_fields", no_step)
     with pytest.raises(SizeLimitExceeded, match="frame limit"):
         sk.evolve(st, p, g, collect_frames=True, **run)
+
+
+def test_records_are_capped_before_the_first_step(monkeypatch):
+    g = make_grid(64, 8.0)
+    p = sk.physical_params(g, lam=1.0)
+    st = dynamics.gaussian_state(g, p, 0.0, 0.5)
+    run = dict(t_final=1e-2, dt=1e-3, record_every=3)
+    # 10 steps, recorded every 3: records at steps 0, 3, 6, 9 and 10
+    monkeypatch.setattr(dynamics, "RECORDS_LIMIT", 5)
+    assert len(sk.evolve(st, p, g, **run)[0]) == 5
+    monkeypatch.setattr(dynamics, "RECORDS_LIMIT", 4)
+
+    def no_step(*args):
+        raise AssertionError("evolve stepped before checking the record limit")
+
+    monkeypatch.setattr(dynamics, "_fields", no_step)
+    with pytest.raises(SizeLimitExceeded, match="record limit"):
+        sk.evolve(st, p, g, **run)
 
 
 def test_step_advances_and_conserves_norm():
@@ -494,6 +518,17 @@ def test_lambda_from_sigma_rejects_non_finite_sigma(sigma, table):
     p = sk.physical_params(make_grid())
     with pytest.raises(ValueError, match="sigma must be finite"):
         sk.lambda_from_sigma(sigma, p, table)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("position", [0, 1], ids=["sigma", "lambda"])
+def test_lambda_map_entries_must_be_finite(bad, position):
+    # an infinite sigma would read as a map that stays at its first lambda
+    p = sk.physical_params(make_grid())
+    entry = [1.0, 1.0]
+    entry[position] = bad
+    with pytest.raises(NonMonotoneMap, match="lambda map entry .* is not finite"):
+        sk.lambda_from_sigma(0.5, p, [(0.0, 0.0), tuple(entry)])
 
 
 def test_lambda_from_sigma_table():

@@ -169,6 +169,15 @@ def test_build_model_rejects_missing_table():
         sk.build_model(sc, {sc.cover[0].members: {(0, 1): HALF, (1, 0): HALF}})
 
 
+def test_build_model_rejects_a_context_tabled_twice_or_off_the_cover():
+    sc = sk.build_scenario([("a", 2), ("b", 2), ("c", 2)], [["a", "b"], ["b", "c"]])
+    table = {(0, 0): 1}
+    with pytest.raises(InvalidModel, match="two tables"):
+        sk.build_model(sc, {("a", "b"): table, ("b", "a"): table, ("b", "c"): table})
+    with pytest.raises(InvalidModel, match="non-cover"):
+        sk.build_model(sc, {("a", "b"): table, ("b", "c"): table, ("a",): {(0,): 1}})
+
+
 def test_build_model_rejects_float_in_rational_mode():
     sc = sk.build_scenario([("a", 2)], [["a"]])
     with pytest.raises(InvalidModel):
